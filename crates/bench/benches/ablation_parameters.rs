@@ -9,8 +9,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mab::BanditKind;
-use mabfuzz::{MabFuzzConfig, MabFuzzer};
-use mabfuzz_bench::{ablation, campaign_config, processor_with_native_bugs, ExperimentBudget};
+use mabfuzz_bench::{
+    ablation, campaign_config, processor_with_native_bugs, Campaign, CampaignSpec,
+    ExperimentBudget, LocalRunner, Parallelism, ShardPlan,
+};
 use proc_sim::ProcessorKind;
 
 fn print_ablation_reproduction() {
@@ -24,12 +26,15 @@ fn print_ablation_reproduction() {
         "\n=== Parameter ablations ({} tests per campaign, {} repetitions, UCB on Rocket) ===",
         budget.coverage_tests, budget.repetitions
     );
+    let (core, plan) = (ProcessorKind::Rocket, ShardPlan::serial());
+    let runner = LocalRunner::new(Parallelism::default());
     for sweep in [
-        ablation::alpha_sweep(ProcessorKind::Rocket, &budget),
-        ablation::gamma_sweep(ProcessorKind::Rocket, &budget),
-        ablation::arms_sweep(ProcessorKind::Rocket, &budget),
-        ablation::reset_ablation(ProcessorKind::Rocket, &budget),
+        ablation::alpha_sweep_on(core, &budget, &plan, &runner),
+        ablation::gamma_sweep_on(core, &budget, &plan, &runner),
+        ablation::arms_sweep_on(core, &budget, &plan, &runner),
+        ablation::reset_ablation_on(core, &budget, &plan, &runner),
     ] {
+        let sweep = sweep.expect("local runs cannot fail");
         println!("-- {} sweep --", sweep.parameter);
         println!("{}", sweep.to_table());
     }
@@ -44,16 +49,17 @@ fn bench_gamma_settings(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
 
     for gamma in [1usize, 3, 10] {
-        group.bench_with_input(BenchmarkId::from_parameter(gamma), &gamma, |b, &gamma| {
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::Ucb1)
+            .gamma(gamma)
+            .campaign(campaign_config(100))
+            .rng_seed(9)
+            .build()
+            .expect("valid spec");
+        group.bench_with_input(BenchmarkId::from_parameter(gamma), &spec, |b, spec| {
             b.iter(|| {
-                let mut config = MabFuzzConfig::new(BanditKind::Ucb1).with_gamma(gamma);
-                config.campaign = campaign_config(100);
-                MabFuzzer::new(
-                    processor_with_native_bugs(ProcessorKind::Rocket),
-                    config,
-                    9,
-                )
-                .run()
+                let processor = processor_with_native_bugs(ProcessorKind::Rocket);
+                Campaign::from_spec_on(processor, spec).expect("valid spec").execute()
             });
         });
     }

@@ -9,7 +9,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mabfuzz_bench::{campaign_config, fig3, processor_with_native_bugs, run_campaign, ExperimentBudget, FuzzerKind};
+use mabfuzz_bench::{
+    campaign_config, campaign_spec, fig3, processor_with_native_bugs, Campaign, ExperimentBudget,
+    FuzzerKind, LocalRunner, Parallelism, ShardPlan,
+};
 use proc_sim::ProcessorKind;
 
 fn print_fig3_reproduction() {
@@ -23,7 +26,9 @@ fn print_fig3_reproduction() {
         "\n=== Fig. 3 reproduction ({} tests per campaign, {} repetitions) ===",
         budget.coverage_tests, budget.repetitions
     );
-    let result = fig3::run(&budget);
+    let runner = LocalRunner::new(Parallelism::default());
+    let result = fig3::run_for_on(&ProcessorKind::ALL, &budget, &ShardPlan::serial(), &runner)
+        .expect("local runs cannot fail");
     for curves in &result.processors {
         println!("-- {} ({} coverage points) --", curves.processor, curves.space_len);
         println!("{}", result.to_table(curves.processor, 10));
@@ -41,9 +46,12 @@ fn bench_coverage_campaigns(c: &mut Criterion) {
     for core in ProcessorKind::ALL {
         for fuzzer in [FuzzerKind::TheHuzz, FuzzerKind::MabFuzz(mab::BanditKind::Ucb1)] {
             let id = BenchmarkId::new(core.name(), fuzzer.name());
-            group.bench_with_input(id, &(core, fuzzer), |b, &(core, fuzzer)| {
+            let spec = campaign_spec(fuzzer, campaign_config(100), 5, &ShardPlan::serial());
+            group.bench_with_input(id, &(core, spec), |b, (core, spec)| {
                 b.iter(|| {
-                    run_campaign(fuzzer, processor_with_native_bugs(core), campaign_config(100), 5)
+                    Campaign::from_spec_on(processor_with_native_bugs(*core), spec)
+                        .expect("valid spec")
+                        .execute()
                 });
             });
         }

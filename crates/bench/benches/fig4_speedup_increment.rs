@@ -10,8 +10,20 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mab::BanditKind;
-use mabfuzz_bench::{campaign_config, fig4, processor_with_native_bugs, run_campaign, ExperimentBudget, FuzzerKind};
+use mabfuzz_bench::{
+    campaign_config, campaign_spec, fig3, fig4, processor_with_native_bugs, Campaign,
+    ExperimentBudget, FuzzerKind, LocalRunner, Parallelism, ShardPlan,
+};
 use proc_sim::ProcessorKind;
+
+/// Runs one Fig. 4 cell campaign of `fuzzer` on Rocket.
+fn rocket_campaign(fuzzer: FuzzerKind) -> fuzzer::CampaignStats {
+    let spec = campaign_spec(fuzzer, campaign_config(80), 3, &ShardPlan::serial());
+    Campaign::from_spec_on(processor_with_native_bugs(ProcessorKind::Rocket), &spec)
+        .expect("valid spec")
+        .execute()
+        .stats
+}
 
 fn print_fig4_reproduction() {
     let budget = ExperimentBudget {
@@ -24,7 +36,10 @@ fn print_fig4_reproduction() {
         "\n=== Fig. 4 reproduction ({} tests per campaign, {} repetitions) ===",
         budget.coverage_tests, budget.repetitions
     );
-    let result = fig4::run(&budget);
+    let runner = LocalRunner::new(Parallelism::default());
+    let fig3 = fig3::run_for_on(&ProcessorKind::ALL, &budget, &ShardPlan::serial(), &runner)
+        .expect("local runs cannot fail");
+    let result = fig4::from_fig3(&fig3);
     println!("{}", result.to_table());
     if let Some(best) = result.best_speedup() {
         println!("best coverage speedup over TheHuzz: {best:.2}x\n");
@@ -43,18 +58,8 @@ fn bench_speedup_cells(c: &mut Criterion) {
         let id = BenchmarkId::new("rocket", algorithm.name());
         group.bench_with_input(id, &algorithm, |b, &algorithm| {
             b.iter(|| {
-                let baseline = run_campaign(
-                    FuzzerKind::TheHuzz,
-                    processor_with_native_bugs(ProcessorKind::Rocket),
-                    campaign_config(80),
-                    3,
-                );
-                let variant = run_campaign(
-                    FuzzerKind::MabFuzz(algorithm),
-                    processor_with_native_bugs(ProcessorKind::Rocket),
-                    campaign_config(80),
-                    3,
-                );
+                let baseline = rocket_campaign(FuzzerKind::TheHuzz);
+                let variant = rocket_campaign(FuzzerKind::MabFuzz(algorithm));
                 let target = baseline.final_coverage();
                 (variant.tests_to_reach(target), variant.final_coverage())
             });

@@ -11,7 +11,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mab::BanditKind;
-use mabfuzz_bench::{campaign_config, run_campaign, table1, ExperimentBudget, FuzzerKind};
+use mabfuzz_bench::{
+    campaign_config, campaign_spec, table1, Campaign, ExperimentBudget, FuzzerKind, LocalRunner,
+    Parallelism, ShardPlan,
+};
 use proc_sim::{BugSet, ProcessorKind, Vulnerability};
 
 fn print_table1_reproduction() {
@@ -25,7 +28,9 @@ fn print_table1_reproduction() {
         "\n=== Table I reproduction (detection cap {} tests, {} repetitions) ===",
         budget.detection_cap, budget.repetitions
     );
-    let result = table1::run(&budget);
+    let runner = LocalRunner::new(Parallelism::default());
+    let result = table1::run_for_on(&Vulnerability::ALL, &budget, &ShardPlan::serial(), &runner)
+        .expect("local runs cannot fail");
     println!("{}", result.to_table());
     if let Some(best) = result.best_speedup() {
         println!("best speedup over TheHuzz: {best:.2}x\n");
@@ -49,13 +54,14 @@ fn bench_detection_campaigns(c: &mut Criterion) {
         FuzzerKind::MabFuzz(BanditKind::Exp3),
     ];
     for fuzzer in fuzzers {
-        group.bench_with_input(BenchmarkId::new("detect_v6", fuzzer.name()), &fuzzer, |b, &fuzzer| {
+        let config = campaign_config(150).detection_mode();
+        let spec = campaign_spec(fuzzer, config, 11, &ShardPlan::serial());
+        group.bench_with_input(BenchmarkId::new("detect_v6", fuzzer.name()), &spec, |b, spec| {
             b.iter(|| {
                 let processor: Arc<dyn proc_sim::Processor> = Arc::from(
                     ProcessorKind::Cva6.build(BugSet::only(Vulnerability::V6UnimplCsrJunk)),
                 );
-                let config = campaign_config(150).detection_mode();
-                run_campaign(fuzzer, processor, config, 11)
+                Campaign::from_spec_on(processor, spec).expect("valid spec").execute()
             });
         });
     }

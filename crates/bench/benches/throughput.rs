@@ -14,13 +14,30 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fuzzer::{ExecScratch, FuzzHarness};
-use mabfuzz_bench::{campaign_config, run_campaign, ExperimentBudget, FuzzerKind, Parallelism};
+use fuzzer::{CampaignStats, ExecScratch, FuzzHarness};
+use mabfuzz_bench::{
+    campaign_config, campaign_spec, processor_without_bugs, Campaign, ExperimentBudget,
+    FuzzerKind, Parallelism, ShardPlan,
+};
 use proc_sim::{BugSet, ProcessorKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use riscv::gen::{GeneratorConfig, ProgramGenerator};
 use std::sync::Arc;
+
+/// Runs one campaign of `fuzzer` on a bug-free Rocket under `plan`.
+fn rocket_campaign(
+    fuzzer: FuzzerKind,
+    max_tests: u64,
+    seed: u64,
+    plan: &ShardPlan,
+) -> CampaignStats {
+    let spec = campaign_spec(fuzzer, campaign_config(max_tests), seed, plan);
+    Campaign::from_spec_on(processor_without_bugs(ProcessorKind::Rocket), &spec)
+        .expect("valid spec")
+        .execute()
+        .stats
+}
 
 /// Single tests through the reusable-scratch harness: the per-test cost that
 /// bounds every campaign.
@@ -109,13 +126,9 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     for fuzzer in FuzzerKind::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(fuzzer.name()), &fuzzer, |b, &fuzzer| {
             b.iter(|| {
-                run_campaign(
-                    fuzzer,
-                    mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
-                    campaign_config(budget.coverage_tests),
-                    budget.base_seed,
-                )
-                .final_coverage()
+                let serial = ShardPlan::serial();
+                rocket_campaign(fuzzer, budget.coverage_tests, budget.base_seed, &serial)
+                    .final_coverage()
             });
         });
     }
@@ -140,17 +153,12 @@ fn bench_sharded_campaign(c: &mut Criterion) {
     shard_counts.sort_unstable();
     shard_counts.dedup();
     for shards in shard_counts {
-        let plan = mabfuzz_bench::ShardPlan::sharded(shards);
+        let plan = ShardPlan::sharded(shards);
         group.bench_with_input(BenchmarkId::from_parameter(shards), &plan, |b, plan| {
             b.iter(|| {
-                mabfuzz_bench::run_campaign_planned(
-                    FuzzerKind::MabFuzz(mab::BanditKind::Ucb1),
-                    mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
-                    campaign_config(budget.coverage_tests * 4),
-                    budget.base_seed,
-                    plan,
-                )
-                .final_coverage()
+                let ucb = FuzzerKind::MabFuzz(mab::BanditKind::Ucb1);
+                rocket_campaign(ucb, budget.coverage_tests * 4, budget.base_seed, plan)
+                    .final_coverage()
             });
         });
     }
@@ -169,13 +177,8 @@ fn bench_grid_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &parallelism, |b, &mode| {
             b.iter(|| {
                 mabfuzz_bench::run_grid(mode, &cells, |&seed| {
-                    run_campaign(
-                        FuzzerKind::MabFuzz(mab::BanditKind::Ucb1),
-                        mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
-                        campaign_config(60),
-                        seed,
-                    )
-                    .final_coverage()
+                    let ucb = FuzzerKind::MabFuzz(mab::BanditKind::Ucb1);
+                    rocket_campaign(ucb, 60, seed, &ShardPlan::serial()).final_coverage()
                 })
             });
         });

@@ -26,8 +26,8 @@
 //! `--json` switches the report from text tables to the deterministic JSON
 //! renderers (one JSON document per experiment, one per line).
 //!
-//! `--shards N` (default: the `MABFUZZ_SHARDS` environment variable, else
-//! off) additionally shards every MABFuzz campaign *internally*: each bandit
+//! `--shards N` (default: off) additionally shards every MABFuzz campaign
+//! *internally*: each bandit
 //! round simulates a fixed-size test batch across `N` worker shards with a
 //! deterministic reduction, so the report is **byte-identical for every
 //! `N`** — including `--shards 1` — while the wall clock drops on multi-core
@@ -35,10 +35,8 @@
 //! parallelism layers compose under one thread budget. Note that sharded
 //! mode (any `N`) is a *different deterministic campaign* than the default
 //! serial mode: batching changes which RNG stream generates each test, so
-//! compare sharded runs with sharded runs. `--shards off` restores the
-//! legacy serial plan (the published, golden-pinned artefacts) even when
-//! `MABFUZZ_SHARDS` is exported; a malformed `MABFUZZ_SHARDS` value is a
-//! hard error, never a silent fallback.
+//! compare sharded runs with sharded runs. `--shards off` selects the
+//! legacy serial plan (the published, golden-pinned artefacts) explicitly.
 
 use std::env;
 use std::process::ExitCode;
@@ -160,6 +158,19 @@ fn main() -> ExitCode {
 
 /// Runs every experiment, reusing the Fig. 3 grid for Fig. 4.
 fn run_all(options: &Options, runner: &dyn CellRunner) -> Result<(), String> {
+    if options.json {
+        print!(
+            "{}",
+            mabfuzz_bench::all_json(
+                &options.vulnerabilities,
+                &options.cores,
+                &options.budget,
+                &options.plan,
+                runner,
+            )?
+        );
+        return Ok(());
+    }
     run_table1(options, runner)?;
     // Fig. 4 derives from the Fig. 3 campaigns, so the coverage grid
     // — the most expensive part of the run — is simulated once and
@@ -478,7 +489,7 @@ impl Options {
         let mut cores = ProcessorKind::ALL.to_vec();
         let mut vulnerabilities = Vulnerability::ALL.to_vec();
         let mut parallelism = Parallelism::default();
-        let mut plan = ShardPlan::from_env()?.unwrap_or_else(ShardPlan::serial);
+        let mut plan = ShardPlan::serial();
         let mut json = false;
         let mut iter = args.iter();
         while let Some(flag) = iter.next() {
@@ -527,9 +538,7 @@ impl Options {
                 "--shards" => {
                     let text = value()?;
                     plan = match text.trim().to_ascii_lowercase().as_str() {
-                        // The escape hatch back to the legacy serial plan —
-                        // the published artefacts — even when MABFUZZ_SHARDS
-                        // is exported in the environment.
+                        // The legacy serial plan: the published artefacts.
                         "off" | "serial" => ShardPlan::serial(),
                         _ => {
                             let shards: usize =

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fig3::Fig3Result;
 use crate::report::{format_speedup, TextTable};
-use crate::{ExperimentBudget, FuzzerKind, Parallelism};
+use crate::{ExperimentBudget, FuzzerKind};
 
 /// Fig. 4 numbers for one (processor, algorithm) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,7 +83,9 @@ impl Fig4Result {
     }
 }
 
-/// Derives the Fig. 4 metrics from an already-run Fig. 3 experiment.
+/// Derives the Fig. 4 metrics from an already-run Fig. 3 experiment
+/// ([`fig3::run_for_on`](crate::fig3::run_for_on)): Fig. 4 reuses the Fig. 3
+/// coverage campaigns rather than running its own.
 pub fn from_fig3(fig3: &Fig3Result) -> Fig4Result {
     let processors = fig3
         .processors
@@ -127,35 +129,18 @@ pub fn from_fig3(fig3: &Fig3Result) -> Fig4Result {
     Fig4Result { processors, budget: fig3.budget.clone() }
 }
 
-/// Runs the coverage campaigns and derives the Fig. 4 metrics in one call.
-pub fn run_for(processors: &[ProcessorKind], budget: &ExperimentBudget) -> Fig4Result {
-    from_fig3(&crate::fig3::run_for(processors, budget))
-}
-
-/// Runs the coverage campaigns with explicit parallelism and derives the
-/// Fig. 4 metrics.
-pub fn run_for_with(
-    processors: &[ProcessorKind],
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> Fig4Result {
-    from_fig3(&crate::fig3::run_for_with(processors, budget, parallelism))
-}
-
-/// Runs the full Fig. 4 experiment (all three processors).
-pub fn run(budget: &ExperimentBudget) -> Fig4Result {
-    from_fig3(&crate::fig3::run(budget))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig3;
+    use crate::{fig3, LocalRunner, Parallelism, ShardPlan};
 
     #[test]
     fn metrics_derive_from_fig3_curves() {
         let budget = ExperimentBudget::smoke();
-        let fig3_result = fig3::run_for(&[ProcessorKind::Rocket], &budget);
+        let runner = LocalRunner::new(Parallelism::default());
+        let fig3_result =
+            fig3::run_for_on(&[ProcessorKind::Rocket], &budget, &ShardPlan::serial(), &runner)
+                .expect("local runs succeed");
         let fig4_result = from_fig3(&fig3_result);
         let rocket = fig4_result.processor(ProcessorKind::Rocket).expect("rocket row");
         assert_eq!(rocket.cells.len(), 3);

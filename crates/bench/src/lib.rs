@@ -38,9 +38,9 @@ pub use fuzzer::ShardPlan;
 pub use mabfuzz::{Campaign, CampaignObserver, CampaignSpec, EventLog, PolicySpec, ProgressMonitor};
 pub use runner::{CellRunner, LocalRunner};
 
-use fuzzer::{CampaignConfig, CampaignStats};
+use fuzzer::CampaignConfig;
 use mab::BanditKind;
-use proc_sim::{BugSet, Processor, ProcessorKind};
+use proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
 /// Which fuzzer a campaign uses: the baseline or MABFuzz with one of the
 /// three algorithms.
@@ -155,40 +155,42 @@ pub fn campaign_spec(
         .expect("grid cells are valid by construction")
 }
 
-/// Runs one campaign of `fuzzer_kind` against `processor` and returns its
-/// statistics.
-pub fn run_campaign(
-    fuzzer_kind: FuzzerKind,
-    processor: Arc<dyn Processor>,
-    campaign: CampaignConfig,
-    rng_seed: u64,
-) -> CampaignStats {
-    run_campaign_planned(fuzzer_kind, processor, campaign, rng_seed, &ShardPlan::serial())
-}
-
-/// Runs one campaign of `fuzzer_kind` against `processor` under a
-/// [`ShardPlan`] and returns its statistics.
+/// Runs every experiment and renders the `experiments all --json` report:
+/// one JSON document per line — Table I over `vulnerabilities`, Fig. 3 and
+/// Fig. 4 over `cores`, and the four ablation sweeps on the first of
+/// `cores` (Rocket when empty) — each terminated by a newline.
 ///
-/// The cell is described by a [`CampaignSpec`] (see [`campaign_spec`]) and
-/// executed through the [`Campaign`] session type. MABFuzz campaigns
-/// simulate each bandit round's batch across the plan's shard workers
-/// (reports are byte-identical for every shard count at a fixed batch size;
-/// see the determinism contract in `fuzzer::shard`). The TheHuzz baseline
-/// has no round structure to batch, so it ignores the plan and stays
-/// serial — callers composing thread budgets should still reserve only one
-/// thread for its cells.
-pub fn run_campaign_planned(
-    fuzzer_kind: FuzzerKind,
-    processor: Arc<dyn Processor>,
-    campaign: CampaignConfig,
-    rng_seed: u64,
+/// Fig. 4 derives from the Fig. 3 campaigns, so the coverage grid is
+/// simulated once and reported twice. The `experiments` binary prints
+/// exactly this string, and the golden-snapshot tests compare it against
+/// `tests/golden/experiments_smoke.json`.
+///
+/// # Errors
+///
+/// Whatever error the runner reports; local runners never fail.
+pub fn all_json(
+    vulnerabilities: &[Vulnerability],
+    cores: &[ProcessorKind],
+    budget: &ExperimentBudget,
     plan: &ShardPlan,
-) -> CampaignStats {
-    let spec = campaign_spec(fuzzer_kind, campaign, rng_seed, plan);
-    Campaign::from_spec_on(processor, &spec)
-        .expect("grid specs are valid by construction")
-        .execute()
-        .stats
+    runner: &dyn CellRunner,
+) -> Result<String, String> {
+    let table1 = table1::run_for_on(vulnerabilities, budget, plan, runner)?;
+    let fig3 = fig3::run_for_on(cores, budget, plan, runner)?;
+    let core = cores.first().copied().unwrap_or(ProcessorKind::Rocket);
+    let sweeps = [
+        ablation::alpha_sweep_on(core, budget, plan, runner)?,
+        ablation::gamma_sweep_on(core, budget, plan, runner)?,
+        ablation::arms_sweep_on(core, budget, plan, runner)?,
+        ablation::reset_ablation_on(core, budget, plan, runner)?,
+    ];
+    Ok(format!(
+        "{}\n{}\n{}\n{}\n",
+        json::table1(&table1),
+        json::fig3(&fig3),
+        json::fig4(&fig4::from_fig3(&fig3)),
+        json::ablations(&sweeps)
+    ))
 }
 
 /// Builds a processor with its paper-native bugs enabled.
@@ -243,23 +245,40 @@ mod tests {
 
     #[test]
     fn run_campaign_dispatches_to_both_fuzzers() {
-        let config = campaign_config(15);
-        let baseline = run_campaign(
-            FuzzerKind::TheHuzz,
-            processor_without_bugs(ProcessorKind::Rocket),
-            config.clone(),
-            1,
-        );
-        let mabfuzz = run_campaign(
-            FuzzerKind::MabFuzz(BanditKind::Ucb1),
-            processor_without_bugs(ProcessorKind::Rocket),
-            config,
-            1,
-        );
+        let run = |fuzzer: FuzzerKind| {
+            let spec = campaign_spec(fuzzer, campaign_config(15), 1, &ShardPlan::serial());
+            Campaign::from_spec_on(processor_without_bugs(ProcessorKind::Rocket), &spec)
+                .expect("valid spec")
+                .execute()
+                .stats
+        };
+        let baseline = run(FuzzerKind::TheHuzz);
+        let mabfuzz = run(FuzzerKind::MabFuzz(BanditKind::Ucb1));
         assert_eq!(baseline.tests_executed(), 15);
         assert_eq!(mabfuzz.tests_executed(), 15);
         assert!(baseline.label().contains("TheHuzz"));
         assert!(mabfuzz.label().contains("MABFuzz"));
+    }
+
+    #[test]
+    fn all_json_renders_one_line_per_experiment_with_ablations_on_the_first_core() {
+        let budget =
+            ExperimentBudget { coverage_tests: 20, detection_cap: 30, repetitions: 1, base_seed: 3 };
+        let runner = LocalRunner::new(Parallelism::default());
+        let render = |cores: &[ProcessorKind]| {
+            let vulns = [Vulnerability::V5MissingAccessFault];
+            all_json(&vulns, cores, &budget, &ShardPlan::serial(), &runner).expect("local runs")
+        };
+        let rendered = render(&[ProcessorKind::Boom, ProcessorKind::Rocket]);
+        assert!(rendered.ends_with('\n'));
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines.len(), 4, "table1, fig3, fig4, ablations");
+        let sweep =
+            ablation::gamma_sweep_on(ProcessorKind::Boom, &budget, &ShardPlan::serial(), &runner)
+                .expect("local runs");
+        assert!(lines[3].contains(&json::ablation(&sweep)), "ablations run on the first core");
+        let no_cores = render(&[]);
+        assert!(no_cores.contains("\"parameter\":\"gamma\",\"processor\":\"rocket\""));
     }
 
     #[test]

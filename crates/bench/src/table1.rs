@@ -6,8 +6,8 @@ use proc_sim::{ProcessorKind, Vulnerability};
 use serde::{Deserialize, Serialize};
 
 use crate::report::{format_speedup, TextTable};
-use crate::runner::{CellRunner, LocalRunner};
-use crate::{campaign_config, ExperimentBudget, FuzzerKind, Parallelism};
+use crate::runner::CellRunner;
+use crate::{campaign_config, ExperimentBudget, FuzzerKind};
 
 /// Detection statistics of one fuzzer for one vulnerability.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,37 +116,15 @@ fn cell_spec(
 }
 
 /// Runs the detection experiment for a chosen subset of vulnerabilities,
-/// spreading the campaign grid across threads as requested.
+/// with cell execution delegated to `runner`: a
+/// [`LocalRunner`](crate::LocalRunner) spreads the cells across threads, and
+/// `experiments dispatch` farms them out to remote workers.
 ///
-/// The result is byte-identical for every [`Parallelism`] mode: cells are
+/// Every MABFuzz campaign runs under `plan` (the TheHuzz baseline stays
+/// serial). The result is byte-identical for every thread count, every
+/// shard count at a fixed batch size and every faithful runner: cells are
 /// deterministic and the reduction (means over repetitions) folds in
 /// repetition order.
-pub fn run_for_with(
-    vulnerabilities: &[Vulnerability],
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> Table1Result {
-    run_for_planned(vulnerabilities, budget, parallelism, &crate::ShardPlan::serial())
-}
-
-/// Runs the detection experiment with every MABFuzz campaign sharded
-/// intra-campaign under `plan` (the TheHuzz baseline stays serial).
-///
-/// Results are byte-identical across shard counts for a fixed batch size.
-pub fn run_for_planned(
-    vulnerabilities: &[Vulnerability],
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &crate::ShardPlan,
-) -> Table1Result {
-    run_for_on(vulnerabilities, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Runs the detection experiment with cell execution delegated to `runner` —
-/// the seam `experiments dispatch` uses to farm cells out to remote
-/// workers. Any runner that executes the specs faithfully yields a result
-/// byte-identical to the local one.
 ///
 /// # Errors
 ///
@@ -207,30 +185,22 @@ fn reduce_detection(first_detections: &[Option<u64>], budget: &ExperimentBudget)
     }
 }
 
-/// Runs the detection experiment for a chosen subset of vulnerabilities on
-/// all cores.
-pub fn run_for(vulnerabilities: &[Vulnerability], budget: &ExperimentBudget) -> Table1Result {
-    run_for_with(vulnerabilities, budget, Parallelism::default())
-}
-
-/// Runs the full Table I experiment (all seven vulnerabilities).
-pub fn run(budget: &ExperimentBudget) -> Table1Result {
-    run_for(&Vulnerability::ALL, budget)
-}
-
-/// Runs the full Table I experiment with explicit parallelism.
-pub fn run_with(budget: &ExperimentBudget, parallelism: Parallelism) -> Table1Result {
-    run_for_with(&Vulnerability::ALL, budget, parallelism)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LocalRunner, Parallelism};
 
     #[test]
     fn easy_vulnerability_is_detected_quickly_by_every_fuzzer() {
         let budget = ExperimentBudget { detection_cap: 300, repetitions: 1, ..ExperimentBudget::smoke() };
-        let result = run_for(&[Vulnerability::V5MissingAccessFault], &budget);
+        let runner = LocalRunner::new(Parallelism::default());
+        let result = run_for_on(
+            &[Vulnerability::V5MissingAccessFault],
+            &budget,
+            &crate::ShardPlan::serial(),
+            &runner,
+        )
+        .expect("local runs succeed");
         assert_eq!(result.rows.len(), 1);
         let row = &result.rows[0];
         assert!(row.thehuzz.detected(), "V5 is the paper's trivially detected bug");

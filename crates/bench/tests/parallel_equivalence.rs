@@ -5,8 +5,8 @@
 use std::num::NonZeroUsize;
 
 use mabfuzz_bench::{
-    ablation, campaign_config, fig3, fig4, json, run_campaign, table1, ExperimentBudget,
-    FuzzerKind, Parallelism, ShardPlan,
+    ablation, campaign_config, campaign_spec, fig3, fig4, json, table1, Campaign,
+    ExperimentBudget, FuzzerKind, LocalRunner, Parallelism, ShardPlan,
 };
 use proc_sim::{ProcessorKind, Vulnerability};
 
@@ -18,8 +18,12 @@ fn tiny_budget() -> ExperimentBudget {
 fn table1_parallel_json_is_byte_identical_to_serial() {
     let budget = tiny_budget();
     let vulns = [Vulnerability::V5MissingAccessFault, Vulnerability::V6UnimplCsrJunk];
-    let serial = table1::run_for_with(&vulns, &budget, Parallelism::Serial);
-    let parallel = table1::run_for_with(&vulns, &budget, Parallelism::Auto);
+    let run = |parallelism| {
+        let runner = LocalRunner::new(parallelism);
+        table1::run_for_on(&vulns, &budget, &ShardPlan::serial(), &runner).unwrap()
+    };
+    let serial = run(Parallelism::Serial);
+    let parallel = run(Parallelism::Auto);
     assert_eq!(serial, parallel, "structured results must match exactly");
     assert_eq!(json::table1(&serial), json::table1(&parallel));
 }
@@ -28,9 +32,12 @@ fn table1_parallel_json_is_byte_identical_to_serial() {
 fn fig3_and_fig4_parallel_json_is_byte_identical_to_serial() {
     let budget = tiny_budget();
     let cores = [ProcessorKind::Cva6, ProcessorKind::Rocket];
-    let serial = fig3::run_for_with(&cores, &budget, Parallelism::Serial);
-    let two = Parallelism::Threads(NonZeroUsize::new(2).expect("nonzero"));
-    let parallel = fig3::run_for_with(&cores, &budget, two);
+    let run = |parallelism| {
+        let runner = LocalRunner::new(parallelism);
+        fig3::run_for_on(&cores, &budget, &ShardPlan::serial(), &runner).unwrap()
+    };
+    let serial = run(Parallelism::Serial);
+    let parallel = run(Parallelism::Threads(NonZeroUsize::new(2).expect("nonzero")));
     assert_eq!(serial, parallel);
     assert_eq!(json::fig3(&serial), json::fig3(&parallel));
     assert_eq!(
@@ -42,8 +49,13 @@ fn fig3_and_fig4_parallel_json_is_byte_identical_to_serial() {
 #[test]
 fn ablation_parallel_json_is_byte_identical_to_serial() {
     let budget = ExperimentBudget { repetitions: 2, coverage_tests: 40, ..tiny_budget() };
-    let serial = ablation::gamma_sweep_with(ProcessorKind::Rocket, &budget, Parallelism::Serial);
-    let parallel = ablation::gamma_sweep_with(ProcessorKind::Rocket, &budget, Parallelism::Auto);
+    let run = |parallelism| {
+        let runner = LocalRunner::new(parallelism);
+        ablation::gamma_sweep_on(ProcessorKind::Rocket, &budget, &ShardPlan::serial(), &runner)
+            .unwrap()
+    };
+    let serial = run(Parallelism::Serial);
+    let parallel = run(Parallelism::Auto);
     assert_eq!(serial, parallel);
     assert_eq!(json::ablation(&serial), json::ablation(&parallel));
 }
@@ -55,16 +67,14 @@ fn ablation_parallel_json_is_byte_identical_to_serial() {
 fn sharded_experiment_json_is_byte_identical_across_layers() {
     let budget = ExperimentBudget { coverage_tests: 48, repetitions: 2, ..tiny_budget() };
     let cores = [ProcessorKind::Rocket];
-    let reference = fig3::run_for_planned(
-        &cores,
-        &budget,
-        Parallelism::Serial,
-        &ShardPlan::sharded(1).with_batch_size(8),
-    );
+    let run = |cell_workers, shards| {
+        let plan = ShardPlan::sharded(shards).with_batch_size(8);
+        fig3::run_for_on(&cores, &budget, &plan, &LocalRunner::new(cell_workers)).unwrap()
+    };
+    let reference = run(Parallelism::Serial, 1);
     for cell_workers in [Parallelism::Serial, Parallelism::Auto] {
         for shards in [1usize, 2, 3] {
-            let plan = ShardPlan::sharded(shards).with_batch_size(8);
-            let sharded = fig3::run_for_planned(&cores, &budget, cell_workers, &plan);
+            let sharded = run(cell_workers, shards);
             assert_eq!(reference, sharded, "{cell_workers} cell workers, {shards} shards");
             assert_eq!(json::fig3(&reference), json::fig3(&sharded));
         }
@@ -79,12 +89,9 @@ fn sharded_experiment_json_is_byte_identical_across_layers() {
 fn run_campaign_is_deterministic_under_buffer_reuse() {
     for fuzzer in FuzzerKind::ALL {
         let run = |seed: u64| {
-            run_campaign(
-                fuzzer,
-                mabfuzz_bench::processor_with_native_bugs(ProcessorKind::Cva6),
-                campaign_config(80),
-                seed,
-            )
+            let spec = campaign_spec(fuzzer, campaign_config(80), seed, &ShardPlan::serial());
+            let processor = mabfuzz_bench::processor_with_native_bugs(ProcessorKind::Cva6);
+            Campaign::from_spec_on(processor, &spec).expect("valid spec").execute().stats
         };
         let first = run(5);
         let second = run(5);

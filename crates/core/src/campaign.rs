@@ -6,9 +6,8 @@
 //! ([`Campaign::from_spec`]) or against a caller-supplied processor
 //! ([`Campaign::from_spec_on`]) — optionally decorated with streaming
 //! [`CampaignObserver`]s, and consumed by [`execute`](Campaign::execute).
-//! The legacy `MabFuzzer::run` / `run_sharded` constructors are thin
-//! compatibility wrappers over this type, and the experiment grid drives it
-//! through specs for every cell.
+//! The examples, the experiment grid, the benches and the campaign daemon
+//! all run through it.
 //!
 //! Both scheduling worlds run through here, and both speak the full
 //! [`CampaignObserver`] event protocol:
@@ -21,78 +20,56 @@
 //!   (under the baseline conventions documented in
 //!   [`observer`](crate::observer)) and the final [`CampaignFinished`];
 //! * [`PolicySpec::Bandit`](crate::spec::PolicySpec) executes the MABFuzz
-//!   loop of Fig. 2, serial or sharded per the spec's plan, with the
-//!   determinism contract of `fuzzer::shard` intact: attaching observers or
-//!   changing the shard count never changes a single byte of the report —
-//!   nor of the event stream, which always fires in `test_index` fold
-//!   order.
+//!   loop of Fig. 2 (the crate's `orchestrator` module), serial or sharded
+//!   per the spec's plan, with the determinism contract of `fuzzer::shard`
+//!   intact: attaching observers or changing the shard count never changes
+//!   a single byte of the report — nor of the event stream, which always
+//!   fires in `test_index` fold order.
 
 use std::sync::Arc;
 
-use coverage::CoverageMap;
-use fuzzer::shard::derive_stream_seed;
-use fuzzer::{
-    CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPlan,
-    ShardPool, TestCase, TheHuzzFuzzer,
-};
+use fuzzer::{CampaignStats, FuzzHarness, TheHuzzFuzzer};
 use mab::Bandit;
 use proc_sim::Processor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use riscv::Program;
+use serde::{Deserialize, Serialize};
 
-use crate::arm::Arm;
 use crate::cancel::CancelToken;
-use crate::config::MabFuzzConfig;
-use crate::monitor::SaturationMonitor;
 use crate::observer::{
-    ArmReset, ArmSelected, BatchFolded, CampaignFinished, CampaignObserver, CoverageMilestone,
-    DecileTracker, DetectionObserved, TestFolded,
+    CampaignFinished, CampaignObserver, CoverageMilestone, DecileTracker, DetectionObserved,
+    TestFolded,
 };
-use crate::orchestrator::{ArmSummary, MabFuzzOutcome};
-use crate::reward::RewardParams;
+use crate::orchestrator::execute_mab;
 use crate::spec::{CampaignSpec, PolicySpec, SpecError};
 
-/// The assembled state of one MABFuzz campaign, ready to run.
-///
-/// This is what `MabFuzzer` has always carried; it now lives behind the
-/// [`Campaign`] session type so the spec path and the legacy constructors
-/// share one execution loop.
-pub(crate) struct MabSession {
-    pub(crate) harness: FuzzHarness,
-    pub(crate) config: MabFuzzConfig,
-    pub(crate) bandit: Box<dyn Bandit>,
-    pub(crate) rng: StdRng,
-    pub(crate) seed: u64,
-    pub(crate) seeds: SeedGenerator,
-    pub(crate) mutator: MutationEngine,
+/// Per-arm summary included in the campaign outcome.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ArmSummary {
+    /// Arm index.
+    pub index: usize,
+    /// Total pulls across the campaign.
+    pub pulls: u64,
+    /// Number of times the arm was reset.
+    pub resets: u64,
+    /// Coverage points reached by the arm's final seed family.
+    pub final_local_coverage: usize,
 }
 
-impl MabSession {
-    pub(crate) fn new(
-        processor: Arc<dyn Processor>,
-        config: MabFuzzConfig,
-        bandit: Box<dyn Bandit>,
-        rng_seed: u64,
-    ) -> MabSession {
-        let harness = FuzzHarness::new(processor, config.campaign.max_steps_per_test);
-        let seeds = SeedGenerator::new(config.campaign.generator.clone());
-        let mutator = MutationEngine::new(config.campaign.generator.clone());
-        MabSession {
-            harness,
-            config,
-            bandit,
-            rng: StdRng::seed_from_u64(rng_seed),
-            seed: rng_seed,
-            seeds,
-            mutator,
-        }
-    }
+/// The result of one campaign.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MabFuzzOutcome {
+    /// The shared campaign statistics (coverage curve, detections, …).
+    pub stats: CampaignStats,
+    /// Per-arm activity summary (empty for the baseline).
+    pub arms: Vec<ArmSummary>,
+    /// Total number of arm resets across the campaign.
+    pub total_resets: u64,
 }
 
 enum CampaignKind {
     Baseline(TheHuzzFuzzer),
-    Mab { session: MabSession, plan: ShardPlan },
+    /// A MABFuzz campaign: the harness and bandit built from `spec`, which
+    /// supplies everything else (α, γ, arms, budget, RNG seed, shard plan).
+    Mab { harness: FuzzHarness, bandit: Box<dyn Bandit>, spec: CampaignSpec },
 }
 
 /// One fuzzing campaign, assembled and ready to
@@ -178,22 +155,15 @@ impl Campaign {
                         spec: spec.arms(),
                     });
                 }
-                let mut session =
-                    MabSession::new(processor, spec.to_mab_config(), bandit, spec.rng_seed);
+                let mut harness = FuzzHarness::new(processor, spec.campaign.max_steps_per_test);
                 // Shard workers clone this harness, so the signal propagates
                 // to every worker and `coverage_space_len` sizes the stats
                 // and arms for the selected space automatically.
-                session.harness.set_coverage_signal(spec.coverage_signal);
-                CampaignKind::Mab { session, plan: spec.plan() }
+                harness.set_coverage_signal(spec.coverage_signal);
+                CampaignKind::Mab { harness, bandit, spec: spec.clone() }
             }
         };
         Ok(Campaign { kind, observers: Vec::new(), cancel: None })
-    }
-
-    /// Assembles a MABFuzz campaign from already-built parts (the legacy
-    /// `MabFuzzer` wrappers route through here).
-    pub(crate) fn from_session(session: MabSession, plan: ShardPlan) -> Campaign {
-        Campaign { kind: CampaignKind::Mab { session, plan }, observers: Vec::new(), cancel: None }
     }
 
     /// Attaches a streaming observer (builder style). Observers receive the
@@ -228,8 +198,8 @@ impl Campaign {
     pub fn label(&self) -> String {
         match &self.kind {
             CampaignKind::Baseline(fuzzer) => format!("TheHuzz on {}", fuzzer.processor_name()),
-            CampaignKind::Mab { session, .. } => {
-                format!("{} on {}", session.config.label(), session.harness.processor().name())
+            CampaignKind::Mab { harness, spec, .. } => {
+                format!("{} on {}", spec.label(), harness.processor().name())
             }
         }
     }
@@ -241,7 +211,7 @@ impl Campaign {
     pub fn coverage_space_len(&self) -> usize {
         match &self.kind {
             CampaignKind::Baseline(fuzzer) => fuzzer.coverage_space_len(),
-            CampaignKind::Mab { session, .. } => session.harness.coverage_space_len(),
+            CampaignKind::Mab { harness, .. } => harness.coverage_space_len(),
         }
     }
 
@@ -259,8 +229,8 @@ impl Campaign {
             CampaignKind::Baseline(fuzzer) => {
                 execute_baseline(fuzzer, &mut self.observers, self.cancel.as_ref())
             }
-            CampaignKind::Mab { session, plan } => {
-                execute_mab(session, &plan, self.observers, self.cancel.as_ref())
+            CampaignKind::Mab { harness, bandit, spec } => {
+                execute_mab(&harness, bandit, &spec, self.observers, self.cancel.as_ref())
             }
         }
     }
@@ -363,378 +333,6 @@ fn execute_baseline(
     MabFuzzOutcome { stats, arms: Vec::new(), total_resets: 0 }
 }
 
-/// The MABFuzz campaign loop (Fig. 2 of the paper, batched): select an arm,
-/// assemble the round's batch, simulate it (in place or across the shard
-/// pool), fold the outcomes in `test_index` order.
-fn execute_mab(
-    session: MabSession,
-    plan: &ShardPlan,
-    observers: Vec<Box<dyn CampaignObserver>>,
-    cancel: Option<&CancelToken>,
-) -> MabFuzzOutcome {
-    let label = format!("{} on {}", session.config.label(), session.harness.processor().name());
-    let space_len = session.harness.coverage_space_len();
-    let max_tests = session.config.campaign.max_tests;
-    let campaign_seed = session.seed;
-    // Per-test derived RNG streams are a batched-mode feature; the
-    // batch-size-1 plan keeps every draw on the main RNG so `run()`
-    // reproduces the pre-sharding serial campaigns byte for byte.
-    let legacy_stream = plan.batch_size() == 1;
-    let pool = (plan.shards() > 1).then(|| ShardPool::new(&session.harness, plan.shards()));
-    let mut scratch = ExecScratch::new();
-
-    let mut fold = CampaignFold {
-        stats: CampaignStats::new(label, space_len, session.config.campaign.sample_interval),
-        arms: Vec::new(),
-        monitor: SaturationMonitor::new(session.config.arms(), session.config.gamma),
-        bandit: session.bandit,
-        rng: session.rng,
-        seeds: session.seeds,
-        mutator: session.mutator,
-        reward_params: RewardParams::new(session.config.alpha),
-        space_len,
-        mutations_per_interesting_test: session.config.campaign.mutations_per_interesting_test,
-        stop_on_first_detection: session.config.campaign.stop_on_first_detection,
-        total_resets: 0,
-        pending_rewards: Vec::with_capacity(plan.batch_size()),
-        arm_index: 0,
-        round: 0,
-        round_tests: 0,
-        deciles: DecileTracker::new(space_len),
-        observers,
-    };
-    // One seed per arm (Fig. 2: "Given a seed pool with each seed
-    // corresponding to an arm").
-    fold.arms = (0..session.config.arms())
-        .map(|index| Arm::new(index, fold.seeds.generate_seed(&mut fold.rng), space_len))
-        .collect();
-
-    let mut round: u64 = 0;
-    while fold.stats.tests_executed() < max_tests {
-        // Cooperative cancellation cuts the campaign at a round (fold)
-        // boundary: every round that started folds completely, so the event
-        // stream so far is a strict prefix of the uncancelled stream.
-        if let Some(token) = cancel {
-            if token.is_cancelled() {
-                token.mark_interrupted();
-                break;
-            }
-        }
-        let remaining =
-            usize::try_from(max_tests - fold.stats.tests_executed()).unwrap_or(usize::MAX);
-        let batch_len = plan.batch_size().min(remaining);
-
-        // 1. Select the round's arm.
-        fold.begin_round(round, batch_len);
-
-        // Derived per-test streams for this round (batched mode only).
-        let mut lanes: Vec<StdRng> = if legacy_stream {
-            Vec::new()
-        } else {
-            (0..batch_len)
-                .map(|index| {
-                    StdRng::seed_from_u64(derive_stream_seed(campaign_seed, round, index as u64))
-                })
-                .collect()
-        };
-
-        // 2. Assemble the batch before the fork: pool pops and refills
-        //    happen serially, so batch contents are shard-independent.
-        let batch = fold.assemble_batch(batch_len, &mut lanes);
-
-        // 3. Simulate — fork/join across the shard pool, or in place on
-        //    the campaign thread — and 4. fold in test order.
-        let stopped = match &pool {
-            Some(pool) => {
-                let programs: Arc<Vec<Program>> =
-                    Arc::new(batch.iter().map(|test| test.program.clone()).collect());
-                let outcomes = pool.simulate(&programs);
-                let mut stopped = false;
-                for (slot, (test, outcome)) in batch.iter().zip(&outcomes).enumerate() {
-                    if fold.fold_test(test, &outcome.coverage, &outcome.diff, lanes.get_mut(slot)) {
-                        stopped = true;
-                        break;
-                    }
-                }
-                // Hand the batch's outcome buffers back to the workers so
-                // the next round reuses their allocations (coverage bitmap,
-                // diff vector) instead of cloning afresh per test.
-                pool.recycle(outcomes);
-                stopped
-            }
-            None => {
-                let mut stopped = false;
-                for (slot, test) in batch.iter().enumerate() {
-                    let view = session.harness.run_program_into(&test.program, &mut scratch);
-                    if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
-                        stopped = true;
-                        break;
-                    }
-                }
-                stopped
-            }
-        };
-        fold.flush_rewards();
-        fold.finish_round();
-        if stopped {
-            break;
-        }
-        round += 1;
-    }
-
-    fold.stats.finish();
-    let arm_summaries = fold
-        .arms
-        .iter()
-        .map(|arm| ArmSummary {
-            index: arm.index(),
-            pulls: arm.total_pulls(),
-            resets: arm.resets(),
-            final_local_coverage: arm.local_coverage().count(),
-        })
-        .collect();
-    // An interrupted campaign's stream stays a strict prefix of the full
-    // run's stream: the finished event is withheld (see `cancel`).
-    if !cancel.is_some_and(CancelToken::was_interrupted) {
-        let finished = CampaignFinished {
-            tests_executed: fold.stats.tests_executed(),
-            final_coverage: fold.stats.final_coverage(),
-            total_resets: fold.total_resets,
-        };
-        for observer in &mut fold.observers {
-            observer.campaign_finished(&finished);
-        }
-    }
-    MabFuzzOutcome { stats: fold.stats, arms: arm_summaries, total_resets: fold.total_resets }
-}
-
-/// The serial half of a campaign round: everything the ordered reduction
-/// mutates, gathered so the fold runs identically whether outcomes arrive
-/// from the campaign thread (1 shard) or from the shard pool.
-///
-/// The fold *is* the built-in observer: its direct `stats` bookkeeping
-/// performs exactly what `impl CampaignObserver for CampaignStats` performs,
-/// and every attached observer receives the corresponding event right after
-/// the reduction step it describes.
-struct CampaignFold {
-    stats: CampaignStats,
-    arms: Vec<Arm>,
-    monitor: SaturationMonitor,
-    bandit: Box<dyn Bandit>,
-    rng: StdRng,
-    seeds: SeedGenerator,
-    mutator: MutationEngine,
-    reward_params: RewardParams,
-    space_len: usize,
-    mutations_per_interesting_test: usize,
-    stop_on_first_detection: bool,
-    total_resets: u64,
-    pending_rewards: Vec<f64>,
-    arm_index: usize,
-    round: u64,
-    round_tests: usize,
-    deciles: DecileTracker,
-    observers: Vec<Box<dyn CampaignObserver>>,
-}
-
-impl CampaignFold {
-    /// Starts a round: the bandit picks the arm the whole batch pulls.
-    fn begin_round(&mut self, round: u64, batch_len: usize) {
-        self.arm_index = self.bandit.select(&mut self.rng);
-        self.round = round;
-        self.round_tests = 0;
-        if !self.observers.is_empty() {
-            let event = ArmSelected { round, arm: self.arm_index, batch_len };
-            for observer in &mut self.observers {
-                observer.arm_selected(&event);
-            }
-        }
-    }
-
-    /// Ends a round after its rewards were flushed.
-    fn finish_round(&mut self) {
-        if !self.observers.is_empty() {
-            let event =
-                BatchFolded { round: self.round, arm: self.arm_index, tests: self.round_tests };
-            for observer in &mut self.observers {
-                observer.batch_folded(&event);
-            }
-        }
-    }
-
-    /// Pops the round's batch from the selected arm's pool, refilling an
-    /// empty pool by mutating the arm's seed. Refill randomness comes from
-    /// the slot's derived lane when one exists (batched rounds) and from
-    /// the main RNG otherwise (the legacy batch-size-1 stream).
-    fn assemble_batch(&mut self, batch_len: usize, lanes: &mut [StdRng]) -> Vec<TestCase> {
-        let mut batch = Vec::with_capacity(batch_len);
-        for slot in 0..batch_len {
-            let arm = &mut self.arms[self.arm_index];
-            let test = match arm.next_test() {
-                Some(test) => test,
-                None => {
-                    let rng = match lanes.get_mut(slot) {
-                        Some(lane) => lane,
-                        None => &mut self.rng,
-                    };
-                    let (mutant, _) = self.mutator.mutate(&arm.seed().program, rng);
-                    let child = self.seeds.adopt_child(&arm.seed().clone(), mutant);
-                    arm.pool_mut().push(child);
-                    arm.next_test().expect("pool was just refilled")
-                }
-            };
-            batch.push(test);
-        }
-        batch
-    }
-
-    /// Folds one simulated test into the campaign state, in `test_index`
-    /// order. Returns `true` when the campaign must stop (detection mode
-    /// hit a mismatch); the remaining outcomes of the round are then
-    /// discarded unrecorded, exactly like the tests a serial campaign would
-    /// never have simulated.
-    fn fold_test(
-        &mut self,
-        test: &TestCase,
-        coverage: &CoverageMap,
-        diff: &DiffReport,
-        lane: Option<&mut StdRng>,
-    ) -> bool {
-        // Global novelty first (cov_G), then the arm-local novelty
-        // (cov_L ⊇ cov_G). Only the counts are needed for the reward, so no
-        // id vectors are materialised.
-        let detected = !diff.is_clean();
-        let global_new = self.stats.record_test_count(test.id, coverage, diff);
-        let local_new = self.arms[self.arm_index].absorb_coverage(coverage);
-        self.round_tests += 1;
-
-        if self.stop_on_first_detection && detected {
-            self.emit_test_events(test, coverage, diff, local_new, global_new, 0.0, detected);
-            return true;
-        }
-
-        // Mutate interesting tests into the arm's pool.
-        if local_new > 0 {
-            let mutation_count = self.mutations_per_interesting_test;
-            let CampaignFold { rng, seeds, mutator, arms, arm_index, .. } = self;
-            let rng = match lane {
-                Some(lane) => lane,
-                None => rng,
-            };
-            for _ in 0..mutation_count {
-                let (mutant, _) = mutator.mutate(&test.program, rng);
-                let child = seeds.adopt_child(test, mutant);
-                arms[*arm_index].pool_mut().push(child);
-            }
-        }
-
-        // Queue the reward; the round flush (or a reset) folds the pending
-        // rewards into the bandit in order via `update_batch`.
-        let reward = self.reward_params.policy_reward(
-            self.bandit.kind(),
-            local_new,
-            global_new,
-            self.space_len,
-        );
-        self.pending_rewards.push(reward);
-        self.emit_test_events(test, coverage, diff, local_new, global_new, reward, detected);
-
-        // Reset saturated arms. Pending rewards are flushed first so the
-        // bandit observes update-then-reset in the same order as a serial
-        // campaign.
-        if self.monitor.record(self.arm_index, local_new) {
-            self.flush_rewards();
-            let fresh = self.seeds.generate_seed(&mut self.rng);
-            self.arms[self.arm_index].reset(fresh);
-            self.bandit.reset_arm(self.arm_index);
-            self.monitor.reset_arm(self.arm_index);
-            self.total_resets += 1;
-            if !self.observers.is_empty() {
-                let event = ArmReset {
-                    arm: self.arm_index,
-                    test_number: self.stats.tests_executed(),
-                    total_resets: self.total_resets,
-                };
-                for observer in &mut self.observers {
-                    observer.arm_reset(&event);
-                }
-            }
-        }
-        false
-    }
-
-    /// Streams the per-test events (test folded, detection, coverage
-    /// milestone) to the attached observers.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_test_events(
-        &mut self,
-        test: &TestCase,
-        coverage: &CoverageMap,
-        diff: &DiffReport,
-        local_new: usize,
-        global_new: usize,
-        reward: f64,
-        detected: bool,
-    ) {
-        // Observer-less campaigns (the whole experiment grid, the golden
-        // runs, the benches) skip all event bookkeeping: observers can only
-        // attach before `execute()` consumes the campaign, so nothing can
-        // ever observe state tracked while this list is empty.
-        if self.observers.is_empty() {
-            return;
-        }
-        let covered = self.stats.final_coverage();
-        let crossed = self.deciles.crossed(covered);
-        let test_number = self.stats.tests_executed();
-        let event = TestFolded {
-            test_number,
-            test_id: test.id,
-            arm: self.arm_index,
-            local_new,
-            global_new,
-            covered,
-            reward,
-            detected,
-            coverage,
-            diff,
-        };
-        for observer in &mut self.observers {
-            observer.test_folded(&event);
-        }
-        if detected {
-            let event = DetectionObserved {
-                test_number,
-                test_id: test.id,
-                arm: self.arm_index,
-                diff,
-            };
-            for observer in &mut self.observers {
-                observer.detection(&event);
-            }
-        }
-        for decile in crossed {
-            let event = CoverageMilestone {
-                decile,
-                covered,
-                space_len: self.space_len,
-                test_number,
-            };
-            for observer in &mut self.observers {
-                observer.coverage_milestone(&event);
-            }
-        }
-    }
-
-    /// Folds the queued rewards of the current round into the bandit, in
-    /// `test_index` order.
-    fn flush_rewards(&mut self) {
-        if !self.pending_rewards.is_empty() {
-            self.bandit.update_batch(self.arm_index, &self.pending_rewards);
-            self.pending_rewards.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +342,7 @@ mod tests {
     use proc_sim::cores::{Cva6Core, RocketCore};
     use proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
+    use crate::observer::{ArmReset, ArmSelected, BatchFolded};
     use crate::spec::BugSpec;
 
     fn quick_spec(kind: BanditKind, max_tests: u64) -> CampaignSpec {
@@ -759,25 +358,21 @@ mod tests {
             .expect("valid spec")
     }
 
+    fn v5_cva6() -> Arc<dyn Processor> {
+        Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault)))
+    }
+
     #[test]
-    fn spec_execution_matches_the_legacy_wrapper_byte_for_byte() {
-        use crate::orchestrator::MabFuzzer;
-        for kind in BanditKind::ALL {
-            let spec = quick_spec(kind, 25);
-            let via_spec = Campaign::from_spec_on(
-                Arc::new(RocketCore::new(BugSet::none())),
-                &spec,
-            )
-            .unwrap()
-            .execute();
-            let via_wrapper = MabFuzzer::new(
-                Arc::new(RocketCore::new(BugSet::none())),
-                spec.to_mab_config(),
-                spec.rng_seed,
-            )
-            .run();
-            assert_eq!(via_spec, via_wrapper, "{kind}");
-        }
+    fn factories_ignoring_the_arm_count_are_rejected() {
+        mab::register_policy("campaign-test-two-arms", |_: &mab::PolicyParams| {
+            Box::new(mab::Ucb1::new(2))
+        })
+        .expect("fresh name");
+        let mut spec = quick_spec(BanditKind::Ucb1, 5);
+        spec.policy = PolicySpec::parse("campaign-test-two-arms").unwrap();
+        let error = Campaign::from_spec_on(Arc::new(RocketCore::new(BugSet::none())), &spec)
+            .expect_err("two bandit arms for four seeds");
+        assert_eq!(error, SpecError::ArmCountMismatch { bandit: 2, spec: 4 });
     }
 
     #[test]
@@ -991,13 +586,10 @@ mod tests {
             .build()
             .unwrap();
         let log = Arc::new(Mutex::new(Vec::new()));
-        let outcome = Campaign::from_spec_on(
-            Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault))),
-            &spec,
-        )
-        .unwrap()
-        .with_observer(Box::new(Recorder { log: Arc::clone(&log) }))
-        .execute();
+        let outcome = Campaign::from_spec_on(v5_cva6(), &spec)
+            .unwrap()
+            .with_observer(Box::new(Recorder { log: Arc::clone(&log) }))
+            .execute();
         let detection = outcome.stats.first_detection().expect("V5 triggers quickly");
         let log = log.lock().unwrap();
         assert!(

@@ -1,110 +1,208 @@
-//! MABFuzz configuration.
+//! Campaign configuration: the fluent [`CampaignSpecBuilder`] and the
+//! paper's default parameters.
+//!
+//! A fresh builder ([`CampaignSpec::builder`]) starts from the values of
+//! §IV-A of the paper: UCB, 10 arms, `α = 0.25` (a globally new point is
+//! worth 3× an arm-locally new point), reset threshold `γ = 3`, ε-greedy
+//! exploration `ε = 0.1` and EXP3 learning rate `η = 0.1`, on the legacy
+//! serial plan with RNG seed 0. Every setter is infallible;
+//! [`build`](CampaignSpecBuilder::build) validates the assembled spec once,
+//! so an out-of-range parameter surfaces as a [`SpecError`] and never
+//! reaches a running campaign.
 
-use fuzzer::CampaignConfig;
+use fuzzer::{CampaignConfig, CoverageSignal, ShardPlan};
 use mab::BanditKind;
-use serde::{Deserialize, Serialize};
+use proc_sim::ProcessorKind;
+use riscv::gen::GeneratorConfig;
 
-/// Configuration of a MABFuzz campaign.
-///
-/// The defaults are the values reported in §IV-A of the paper: 10 arms,
-/// `α = 0.25` (a globally new point is worth 3× an arm-locally new point),
-/// reset threshold `γ = 3`, ε-greedy exploration `ε = 0.1` and EXP3 learning
-/// rate `η = 0.1`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MabFuzzConfig {
-    /// Shared campaign parameters (test budget, mutation counts, …). The
-    /// `num_seeds` field doubles as the number of arms.
-    pub campaign: CampaignConfig,
-    /// Which modified MAB algorithm drives seed selection.
-    pub algorithm: BanditKind,
-    /// Weight of arm-locally new coverage in the reward (`α ∈ [0, 1]`).
-    pub alpha: f64,
-    /// Reset threshold: an arm whose last `γ` pulls produced no new arm-local
-    /// coverage is considered depleted and replaced by a fresh seed.
-    pub gamma: usize,
-    /// Exploration probability for ε-greedy.
-    pub epsilon: f64,
-    /// Learning rate for EXP3.
-    pub eta: f64,
+use crate::spec::{BugSpec, CampaignSpec, PolicySpec, ProcessorSpec, SpecError};
+
+/// Fluent builder for [`CampaignSpec`]; every setter is infallible and
+/// [`build`](CampaignSpecBuilder::build) validates the assembled spec.
+#[derive(Debug, Clone)]
+pub struct CampaignSpecBuilder {
+    policy: PolicyChoice,
+    /// The spec under construction (the JSON codec fills it field by field).
+    pub(crate) spec: CampaignSpec,
 }
 
-impl MabFuzzConfig {
-    /// Creates the paper-default configuration for the given algorithm.
-    pub fn new(algorithm: BanditKind) -> MabFuzzConfig {
-        MabFuzzConfig {
-            campaign: CampaignConfig::default(),
-            algorithm,
-            alpha: 0.25,
-            gamma: 3,
-            epsilon: 0.1,
-            eta: 0.1,
+/// A policy either resolved already or deferred to build-time name lookup
+/// (so `policy_named("thom pson")` surfaces its error in `build`'s
+/// `Result`, not as a panic in the middle of a fluent chain).
+#[derive(Debug, Clone)]
+enum PolicyChoice {
+    Resolved(PolicySpec),
+    Named(String),
+}
+
+impl Default for CampaignSpecBuilder {
+    fn default() -> Self {
+        CampaignSpecBuilder {
+            policy: PolicyChoice::Resolved(PolicySpec::Bandit(BanditKind::Ucb1)),
+            spec: CampaignSpec {
+                policy: PolicySpec::Bandit(BanditKind::Ucb1),
+                alpha: 0.25,
+                gamma: 3,
+                epsilon: 0.1,
+                eta: 0.1,
+                rng_seed: 0,
+                shards: 1,
+                batch_size: 1,
+                coverage_signal: CoverageSignal::Point,
+                processor: None,
+                campaign: CampaignConfig::default(),
+            },
         }
     }
+}
 
-    /// Returns the number of arms (the campaign's `num_seeds`).
-    pub fn arms(&self) -> usize {
-        self.campaign.num_seeds
+impl CampaignSpecBuilder {
+    /// Selects the scheduling policy.
+    pub fn policy(mut self, policy: PolicySpec) -> Self {
+        self.policy = PolicyChoice::Resolved(policy);
+        self
     }
 
-    /// Sets the number of arms.
-    pub fn with_arms(mut self, arms: usize) -> MabFuzzConfig {
-        self.campaign.num_seeds = arms.max(1);
+    /// Selects a MABFuzz bandit policy.
+    pub fn algorithm(self, kind: BanditKind) -> Self {
+        self.policy(PolicySpec::Bandit(kind))
+    }
+
+    /// Selects the TheHuzz baseline (no bandit).
+    pub fn baseline(self) -> Self {
+        self.policy(PolicySpec::Baseline)
+    }
+
+    /// Selects the policy by name; resolution (and its error) happens in
+    /// [`build`](CampaignSpecBuilder::build).
+    pub fn policy_named(mut self, name: &str) -> Self {
+        self.policy = PolicyChoice::Named(name.to_owned());
+        self
+    }
+
+    /// Sets the number of arms / initial seeds.
+    pub fn arms(mut self, arms: usize) -> Self {
+        self.spec.campaign.num_seeds = arms;
         self
     }
 
     /// Sets the reward weight α.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `[0, 1]`.
-    pub fn with_alpha(mut self, alpha: f64) -> MabFuzzConfig {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must lie in [0, 1]");
-        self.alpha = alpha;
+    pub fn alpha(mut self, alpha: f64) -> Self {
+        self.spec.alpha = alpha;
         self
     }
 
-    /// Sets the γ reset threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` is zero.
-    pub fn with_gamma(mut self, gamma: usize) -> MabFuzzConfig {
-        assert!(gamma > 0, "gamma must be at least 1");
-        self.gamma = gamma;
+    /// Sets the saturation window γ.
+    pub fn gamma(mut self, gamma: usize) -> Self {
+        self.spec.gamma = gamma;
+        self
+    }
+
+    /// Sets the ε-greedy exploration probability.
+    pub fn epsilon(mut self, epsilon: f64) -> Self {
+        self.spec.epsilon = epsilon;
+        self
+    }
+
+    /// Sets the EXP3 learning rate η.
+    pub fn eta(mut self, eta: f64) -> Self {
+        self.spec.eta = eta;
         self
     }
 
     /// Sets the campaign test budget.
-    pub fn with_max_tests(mut self, max_tests: u64) -> MabFuzzConfig {
-        self.campaign.max_tests = max_tests;
+    pub fn max_tests(mut self, max_tests: u64) -> Self {
+        self.spec.campaign.max_tests = max_tests;
         self
     }
 
-    /// Builds the bandit policy described by this configuration.
+    /// Sets the per-test committed-instruction budget.
+    pub fn max_steps_per_test(mut self, max_steps: usize) -> Self {
+        self.spec.campaign.max_steps_per_test = max_steps;
+        self
+    }
+
+    /// Sets how many mutants each interesting test spawns.
+    pub fn mutations_per_interesting_test(mut self, mutations: usize) -> Self {
+        self.spec.campaign.mutations_per_interesting_test = mutations;
+        self
+    }
+
+    /// Sets the coverage-series sampling interval.
+    pub fn sample_interval(mut self, interval: u64) -> Self {
+        self.spec.campaign.sample_interval = interval;
+        self
+    }
+
+    /// Stops the campaign at the first architectural mismatch (Table I
+    /// detection mode).
+    pub fn stop_on_first_detection(mut self, stop: bool) -> Self {
+        self.spec.campaign.stop_on_first_detection = stop;
+        self
+    }
+
+    /// Replaces the program-generator configuration.
+    pub fn generator(mut self, generator: GeneratorConfig) -> Self {
+        self.spec.campaign.generator = generator;
+        self
+    }
+
+    /// Replaces the whole shared campaign configuration (budget, mutation
+    /// counts, generator, number of seeds) in one call.
+    pub fn campaign(mut self, campaign: CampaignConfig) -> Self {
+        self.spec.campaign = campaign;
+        self
+    }
+
+    /// Sets the campaign RNG seed.
+    pub fn rng_seed(mut self, seed: u64) -> Self {
+        self.spec.rng_seed = seed;
+        self
+    }
+
+    /// Sets the shard-worker count.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.spec.shards = shards;
+        self
+    }
+
+    /// Sets the per-round batch size (1 = the legacy serial stream).
+    pub fn batch_size(mut self, batch_size: usize) -> Self {
+        self.spec.batch_size = batch_size;
+        self
+    }
+
+    /// Adopts a whole shard plan.
+    pub fn plan(self, plan: &ShardPlan) -> Self {
+        self.shards(plan.shards()).batch_size(plan.batch_size())
+    }
+
+    /// Selects the coverage signal feeding the reward (default: point).
+    pub fn coverage_signal(mut self, signal: CoverageSignal) -> Self {
+        self.spec.coverage_signal = signal;
+        self
+    }
+
+    /// Names the processor the spec runs against, making it self-contained.
+    pub fn processor(mut self, core: ProcessorKind, bugs: BugSpec) -> Self {
+        self.spec.processor = Some(ProcessorSpec { core, bugs });
+        self
+    }
+
+    /// Validates and returns the spec.
     ///
-    /// Routes through [`BanditKind::build_with`], so custom policies
-    /// registered via [`mab::register_policy`] construct exactly like the
-    /// built-ins (their factories receive this configuration's ε and η).
-    pub fn build_bandit(&self) -> Box<dyn mab::Bandit> {
-        self.algorithm.build_with(&mab::PolicyParams {
-            kind: self.algorithm,
-            arms: self.arms(),
-            epsilon: self.epsilon,
-            eta: self.eta,
-        })
-    }
-
-    /// Returns the human-readable campaign label used in reports
-    /// (e.g. `"MABFuzz: UCB"`; custom policies appear under their
-    /// registered name).
-    pub fn label(&self) -> String {
-        format!("MABFuzz: {}", self.algorithm)
-    }
-}
-
-impl Default for MabFuzzConfig {
-    fn default() -> Self {
-        MabFuzzConfig::new(BanditKind::Ucb1)
+    /// # Errors
+    ///
+    /// The first violated invariant (see [`SpecError`]); name-based policy
+    /// selection resolves here and reports unknown names with the full list
+    /// of valid policies.
+    pub fn build(mut self) -> Result<CampaignSpec, SpecError> {
+        self.spec.policy = match &self.policy {
+            PolicyChoice::Resolved(policy) => *policy,
+            PolicyChoice::Named(name) => PolicySpec::parse(name)?,
+        };
+        self.spec.validate()?;
+        Ok(self.spec)
     }
 }
 
@@ -112,48 +210,88 @@ impl Default for MabFuzzConfig {
 mod tests {
     use super::*;
 
+    use crate::monitor::SaturationMonitor;
+    use crate::reward::RewardParams;
+
     #[test]
     fn defaults_match_the_paper() {
-        let config = MabFuzzConfig::default();
-        assert_eq!(config.arms(), 10);
-        assert!((config.alpha - 0.25).abs() < 1e-12);
-        assert_eq!(config.gamma, 3);
-        assert!((config.eta - 0.1).abs() < 1e-12);
-        assert!((config.epsilon - 0.1).abs() < 1e-12);
+        let spec = CampaignSpecBuilder::default().spec;
+        assert_eq!(spec.policy, PolicySpec::Bandit(BanditKind::Ucb1));
+        assert_eq!(spec.arms(), 10);
+        assert!((spec.alpha - 0.25).abs() < 1e-12);
+        assert_eq!(spec.gamma, 3);
+        assert!((spec.eta - 0.1).abs() < 1e-12);
+        assert!((spec.epsilon - 0.1).abs() < 1e-12);
+        assert_eq!(spec.rng_seed, 0);
+        assert_eq!(spec.plan(), ShardPlan::serial());
+        assert_eq!(spec.coverage_signal, CoverageSignal::Point);
+        assert_eq!(spec.processor, None);
+        assert_eq!(CampaignSpec::builder().build().unwrap(), spec, "the defaults validate as-is");
     }
 
     #[test]
     fn builders_adjust_fields() {
-        let config = MabFuzzConfig::new(BanditKind::Exp3)
-            .with_arms(4)
-            .with_alpha(0.5)
-            .with_gamma(7)
-            .with_max_tests(123);
-        assert_eq!(config.arms(), 4);
-        assert_eq!(config.gamma, 7);
-        assert_eq!(config.campaign.max_tests, 123);
-        assert_eq!(config.label(), "MABFuzz: EXP3");
+        let campaign = CampaignConfig { max_tests: 123, num_seeds: 4, ..CampaignConfig::default() };
+        let generator = GeneratorConfig { instr_count: 17, ..GeneratorConfig::default() };
+        let spec = CampaignSpec::builder()
+            .policy_named("exp3")
+            .alpha(0.5)
+            .gamma(7)
+            .campaign(campaign.clone())
+            .generator(generator.clone())
+            .plan(&ShardPlan::sharded(2).with_batch_size(8))
+            .coverage_signal(CoverageSignal::Edge)
+            .build()
+            .unwrap();
+        assert_eq!(spec.arms(), 4);
+        assert_eq!(spec.gamma, 7);
+        assert!((spec.alpha - 0.5).abs() < 1e-12);
+        assert_eq!(spec.campaign.max_tests, 123);
+        assert_eq!(spec.campaign.generator, generator);
+        assert_eq!(spec.plan(), ShardPlan::sharded(2).with_batch_size(8));
+        assert_eq!(spec.coverage_signal, CoverageSignal::Edge);
+        assert_eq!(spec.label(), "MABFuzz: EXP3");
+
+        // Later setters win, including over a whole-config replacement.
+        let spec = CampaignSpec::builder()
+            .campaign(campaign)
+            .max_tests(9)
+            .algorithm(BanditKind::Ucb1)
+            .baseline()
+            .build()
+            .unwrap();
+        assert_eq!(spec.campaign.max_tests, 9);
+        assert_eq!(spec.label(), "TheHuzz");
     }
 
     #[test]
     fn build_bandit_matches_the_algorithm() {
         for kind in BanditKind::ALL {
-            let config = MabFuzzConfig::new(kind).with_arms(6);
-            let bandit = config.build_bandit();
+            let spec = CampaignSpec::builder().algorithm(kind).arms(6).build().unwrap();
+            assert_eq!(spec.policy, PolicySpec::Bandit(kind));
+            let bandit = kind.build_with(&spec.policy_params(kind));
             assert_eq!(bandit.kind(), kind);
             assert_eq!(bandit.arms(), 6);
         }
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
+    #[should_panic(expected = "alpha must lie in [0, 1]")]
     fn invalid_alpha_panics() {
-        let _ = MabFuzzConfig::default().with_alpha(1.5);
+        // `build` rejects the value; the reward a campaign would assemble
+        // from it refuses it on its own as well.
+        let error = CampaignSpec::builder().alpha(1.5).build().unwrap_err();
+        assert_eq!(error, SpecError::AlphaOutOfRange(1.5));
+        let _ = RewardParams::new(1.5);
     }
 
     #[test]
-    #[should_panic(expected = "gamma")]
+    #[should_panic(expected = "gamma must be at least 1")]
     fn invalid_gamma_panics() {
-        let _ = MabFuzzConfig::default().with_gamma(0);
+        // `build` rejects the value; the saturation monitor a campaign would
+        // assemble from it refuses it on its own as well.
+        let error = CampaignSpec::builder().gamma(0).build().unwrap_err();
+        assert_eq!(error, SpecError::ZeroGamma);
+        let _ = SaturationMonitor::new(4, 0);
     }
 }

@@ -13,20 +13,20 @@
 //!   `R_t(a) = α·|cov_L| + (1 − α)·|cov_G|` of §III-B;
 //! * [`SaturationMonitor`] — the γ-window monitor of §III-C that detects
 //!   depleted arms;
-//! * [`MabFuzzer`] — the orchestrator of Fig. 2: select an arm with the
-//!   modified MAB algorithm, simulate a batch of its tests (serially or
-//!   across the shard workers of a [`ShardPlan`] — campaign reports are
-//!   byte-identical either way, see the determinism contract in
-//!   [`fuzzer::shard`]), mutate, reward, and reset saturated arms.
-//!
-//! Around that core, the campaign-facing API is declarative:
-//!
 //! * [`CampaignSpec`] — one validated, JSON-serializable description of a
 //!   whole campaign (policy, α/γ/ε/η, budget, generator, RNG seed, shard
 //!   plan, optionally the processor), with a fluent builder;
-//! * [`Campaign`] — the session type: `Campaign::from_spec(&spec)?.execute()`
-//!   runs anything from the TheHuzz baseline to a custom bandit registered
-//!   at runtime through [`mab::register_policy`];
+//! * [`Campaign`] — the orchestrator of Fig. 2 and the one way to run a
+//!   campaign: `Campaign::from_spec(&spec)?.execute()` selects an arm with
+//!   the modified MAB algorithm, simulates a batch of its tests (serially or
+//!   across the shard workers of a [`ShardPlan`] — campaign reports are
+//!   byte-identical either way, see the determinism contract in
+//!   [`fuzzer::shard`]), mutates, rewards, and resets saturated arms. The
+//!   same entry point runs the TheHuzz baseline and any custom bandit
+//!   registered at runtime through [`mab::register_policy`].
+//!
+//! Around that core sit the streaming and service seams:
+//!
 //! * [`CampaignObserver`] — streaming per-round/per-test events (arm
 //!   selected, test folded, detection, arm reset, coverage milestone) for
 //!   monitoring a campaign while it runs; the built-in statistics are
@@ -68,9 +68,6 @@
 //! // its JSON (also: `experiments run --spec file.json`).
 //! assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
 //! ```
-//!
-//! The imperative constructors (`MabFuzzer::new(...).run()`) remain as thin
-//! compatibility wrappers over [`Campaign`] and keep working unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,16 +81,16 @@ pub mod json_value;
 mod json_text;
 pub mod monitor;
 pub mod observer;
-pub mod orchestrator;
+mod orchestrator;
 pub mod progress;
 pub mod report;
 pub mod reward;
 pub mod spec;
 
 pub use arm::Arm;
-pub use campaign::Campaign;
+pub use campaign::{ArmSummary, Campaign, MabFuzzOutcome};
 pub use cancel::CancelToken;
-pub use config::MabFuzzConfig;
+pub use config::CampaignSpecBuilder;
 pub use event_log::{EventBroadcast, EventLog, EventLogHealth, SharedBuffer};
 pub use fuzzer::{CoverageSignal, ShardPlan, ShardPool};
 pub use monitor::SaturationMonitor;
@@ -103,9 +100,8 @@ pub use observer::{
 };
 pub use fuzzer::shard::derive_stream_seed;
 pub use progress::ProgressMonitor;
-pub use orchestrator::{ArmSummary, MabFuzzOutcome, MabFuzzer};
 pub use report::CampaignSummary;
 pub use reward::RewardParams;
 pub use spec::{
-    BugSpec, CampaignSpec, CampaignSpecBuilder, PolicySpec, ProcessorSpec, SpecError,
+    BugSpec, CampaignSpec, PolicySpec, ProcessorSpec, SpecError,
 };

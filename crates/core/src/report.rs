@@ -18,7 +18,7 @@ use coverage::CoverageSeries;
 
 use crate::json_text::push_json_string;
 use crate::json_value;
-use crate::orchestrator::MabFuzzOutcome;
+use crate::campaign::MabFuzzOutcome;
 use crate::spec::CampaignSpec;
 
 /// Renders a JSON string literal (quoted, escaped) under the workspace's

@@ -5,11 +5,10 @@
 //! [`BanditKind`], including custom policies registered through
 //! [`mab::register_policy`]), the reward/reset parameters (α, γ, ε, η), the
 //! shared fuzzing-campaign configuration (budget, mutation counts, program
-//! generator), the RNG seed and the shard plan. It subsumes what previously
-//! lived across `MabFuzzConfig`, `CampaignConfig` and ad-hoc
-//! (seed, plan) call arguments, and it is what the experiment grid, the
-//! `experiments` binary (`experiments run --spec file.json`) and the
-//! [`Campaign`](crate::Campaign) session type consume.
+//! generator), the RNG seed and the shard plan. The examples, the
+//! experiment grid, the `experiments` binary (`experiments run --spec
+//! file.json`) and the campaign daemon all describe campaigns this way, and
+//! the [`Campaign`](crate::Campaign) session type consumes them.
 //!
 //! Specs are built fluently and validated once, at [`build`]:
 //!
@@ -33,7 +32,7 @@
 //! assert_eq!(restored, spec);
 //! ```
 //!
-//! [`build`]: CampaignSpecBuilder::build
+//! [`build`]: crate::CampaignSpecBuilder::build
 //!
 //! The JSON codec is hand-rolled (like the deterministic report renderers in
 //! `mabfuzz-bench`): the vendored `serde` shim provides only marker traits,
@@ -49,7 +48,7 @@ use proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 use riscv::gen::{ClassWeights, GeneratorConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::config::MabFuzzConfig;
+use crate::config::CampaignSpecBuilder;
 use crate::json_value as json;
 
 /// Which scheduling policy drives the campaign.
@@ -304,24 +303,6 @@ impl CampaignSpec {
         CampaignSpecBuilder::default()
     }
 
-    /// Re-expresses a legacy [`MabFuzzConfig`] (+ seed + plan) as a spec —
-    /// the migration path for code still assembling configs imperatively.
-    pub fn from_mab_config(config: &MabFuzzConfig, rng_seed: u64, plan: &ShardPlan) -> CampaignSpec {
-        CampaignSpec {
-            policy: PolicySpec::Bandit(config.algorithm),
-            alpha: config.alpha,
-            gamma: config.gamma,
-            epsilon: config.epsilon,
-            eta: config.eta,
-            rng_seed,
-            shards: plan.shards(),
-            batch_size: plan.batch_size(),
-            coverage_signal: CoverageSignal::Point,
-            processor: None,
-            campaign: config.campaign.clone(),
-        }
-    }
-
     /// Number of arms (the campaign's `num_seeds`).
     pub fn arms(&self) -> usize {
         self.campaign.num_seeds
@@ -345,24 +326,6 @@ impl CampaignSpec {
     /// The bandit-policy construction parameters the spec describes.
     pub fn policy_params(&self, kind: BanditKind) -> PolicyParams {
         PolicyParams { kind, arms: self.arms(), epsilon: self.epsilon, eta: self.eta }
-    }
-
-    /// Re-expresses the spec as the legacy [`MabFuzzConfig`] the orchestrator
-    /// layers consume. For the baseline policy the algorithm field is
-    /// meaningless and defaults to UCB.
-    pub fn to_mab_config(&self) -> MabFuzzConfig {
-        let algorithm = match self.policy {
-            PolicySpec::Baseline => BanditKind::Ucb1,
-            PolicySpec::Bandit(kind) => kind,
-        };
-        MabFuzzConfig {
-            campaign: self.campaign.clone(),
-            algorithm,
-            alpha: self.alpha,
-            gamma: self.gamma,
-            epsilon: self.epsilon,
-            eta: self.eta,
-        }
     }
 
     /// Checks every invariant of the spec.
@@ -530,194 +493,6 @@ impl Default for CampaignSpec {
     }
 }
 
-/// Fluent builder for [`CampaignSpec`]; every setter is infallible and
-/// [`build`](CampaignSpecBuilder::build) validates the assembled spec.
-#[derive(Debug, Clone)]
-pub struct CampaignSpecBuilder {
-    policy: PolicyChoice,
-    spec: CampaignSpec,
-}
-
-/// A policy either resolved already or deferred to build-time name lookup
-/// (so `policy_named("thom pson")` surfaces its error in `build`'s
-/// `Result`, not as a panic in the middle of a fluent chain).
-#[derive(Debug, Clone)]
-enum PolicyChoice {
-    Resolved(PolicySpec),
-    Named(String),
-}
-
-impl Default for CampaignSpecBuilder {
-    fn default() -> Self {
-        CampaignSpecBuilder {
-            policy: PolicyChoice::Resolved(PolicySpec::Bandit(BanditKind::Ucb1)),
-            spec: CampaignSpec {
-                policy: PolicySpec::Bandit(BanditKind::Ucb1),
-                alpha: 0.25,
-                gamma: 3,
-                epsilon: 0.1,
-                eta: 0.1,
-                rng_seed: 0,
-                shards: 1,
-                batch_size: 1,
-                coverage_signal: CoverageSignal::Point,
-                processor: None,
-                campaign: CampaignConfig::default(),
-            },
-        }
-    }
-}
-
-impl CampaignSpecBuilder {
-    /// Selects the scheduling policy.
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.policy = PolicyChoice::Resolved(policy);
-        self
-    }
-
-    /// Selects a MABFuzz bandit policy.
-    pub fn algorithm(self, kind: BanditKind) -> Self {
-        self.policy(PolicySpec::Bandit(kind))
-    }
-
-    /// Selects the TheHuzz baseline (no bandit).
-    pub fn baseline(self) -> Self {
-        self.policy(PolicySpec::Baseline)
-    }
-
-    /// Selects the policy by name; resolution (and its error) happens in
-    /// [`build`](CampaignSpecBuilder::build).
-    pub fn policy_named(mut self, name: &str) -> Self {
-        self.policy = PolicyChoice::Named(name.to_owned());
-        self
-    }
-
-    /// Sets the number of arms / initial seeds.
-    pub fn arms(mut self, arms: usize) -> Self {
-        self.spec.campaign.num_seeds = arms;
-        self
-    }
-
-    /// Sets the reward weight α.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.spec.alpha = alpha;
-        self
-    }
-
-    /// Sets the saturation window γ.
-    pub fn gamma(mut self, gamma: usize) -> Self {
-        self.spec.gamma = gamma;
-        self
-    }
-
-    /// Sets the ε-greedy exploration probability.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.spec.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the EXP3 learning rate η.
-    pub fn eta(mut self, eta: f64) -> Self {
-        self.spec.eta = eta;
-        self
-    }
-
-    /// Sets the campaign test budget.
-    pub fn max_tests(mut self, max_tests: u64) -> Self {
-        self.spec.campaign.max_tests = max_tests;
-        self
-    }
-
-    /// Sets the per-test committed-instruction budget.
-    pub fn max_steps_per_test(mut self, max_steps: usize) -> Self {
-        self.spec.campaign.max_steps_per_test = max_steps;
-        self
-    }
-
-    /// Sets how many mutants each interesting test spawns.
-    pub fn mutations_per_interesting_test(mut self, mutations: usize) -> Self {
-        self.spec.campaign.mutations_per_interesting_test = mutations;
-        self
-    }
-
-    /// Sets the coverage-series sampling interval.
-    pub fn sample_interval(mut self, interval: u64) -> Self {
-        self.spec.campaign.sample_interval = interval;
-        self
-    }
-
-    /// Stops the campaign at the first architectural mismatch (Table I
-    /// detection mode).
-    pub fn stop_on_first_detection(mut self, stop: bool) -> Self {
-        self.spec.campaign.stop_on_first_detection = stop;
-        self
-    }
-
-    /// Replaces the program-generator configuration.
-    pub fn generator(mut self, generator: GeneratorConfig) -> Self {
-        self.spec.campaign.generator = generator;
-        self
-    }
-
-    /// Replaces the whole shared campaign configuration (budget, mutation
-    /// counts, generator, number of seeds) in one call.
-    pub fn campaign(mut self, campaign: CampaignConfig) -> Self {
-        self.spec.campaign = campaign;
-        self
-    }
-
-    /// Sets the campaign RNG seed.
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.spec.rng_seed = seed;
-        self
-    }
-
-    /// Sets the shard-worker count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.spec.shards = shards;
-        self
-    }
-
-    /// Sets the per-round batch size (1 = the legacy serial stream).
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.spec.batch_size = batch_size;
-        self
-    }
-
-    /// Adopts a whole shard plan.
-    pub fn plan(self, plan: &ShardPlan) -> Self {
-        self.shards(plan.shards()).batch_size(plan.batch_size())
-    }
-
-    /// Selects the coverage signal feeding the reward (default: point).
-    pub fn coverage_signal(mut self, signal: CoverageSignal) -> Self {
-        self.spec.coverage_signal = signal;
-        self
-    }
-
-    /// Names the processor the spec runs against, making it self-contained.
-    pub fn processor(mut self, core: ProcessorKind, bugs: BugSpec) -> Self {
-        self.spec.processor = Some(ProcessorSpec { core, bugs });
-        self
-    }
-
-    /// Validates and returns the spec.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant (see [`SpecError`]); name-based policy
-    /// selection resolves here and reports unknown names with the full list
-    /// of valid policies.
-    pub fn build(mut self) -> Result<CampaignSpec, SpecError> {
-        self.spec.policy = match &self.policy {
-            PolicyChoice::Resolved(policy) => *policy,
-            PolicyChoice::Named(name) => PolicySpec::parse(name)?,
-        };
-        self.spec.validate()?;
-        Ok(self.spec)
-    }
-}
-
 fn json_string(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     crate::json_text::push_json_string(&mut out, text);
@@ -879,6 +654,8 @@ mod tests {
         assert_eq!(spec.arms(), 10);
         assert!((spec.alpha - 0.25).abs() < 1e-12);
         assert_eq!(spec.gamma, 3);
+        assert!((spec.epsilon - 0.1).abs() < 1e-12);
+        assert!((spec.eta - 0.1).abs() < 1e-12);
         assert_eq!(spec.plan(), ShardPlan::serial());
         assert_eq!(spec.label(), "MABFuzz: UCB");
         assert!(spec.validate().is_ok());
@@ -1077,21 +854,6 @@ mod tests {
             let error = CampaignSpec::from_json(document).expect_err(document);
             assert!(error.to_string().contains(needle), "`{document}` → `{error}`");
         }
-    }
-
-    #[test]
-    fn mab_config_round_trip() {
-        let mut config = MabFuzzConfig::new(BanditKind::Exp3).with_arms(5).with_alpha(0.5);
-        config.campaign.max_tests = 64;
-        let plan = ShardPlan::sharded(2).with_batch_size(4);
-        let spec = CampaignSpec::from_mab_config(&config, 11, &plan);
-        assert_eq!(spec.rng_seed, 11);
-        assert_eq!(spec.plan(), plan);
-        let back = spec.to_mab_config();
-        assert_eq!(back.algorithm, config.algorithm);
-        assert!((back.alpha - config.alpha).abs() < 1e-12);
-        assert_eq!(back.campaign.max_tests, 64);
-        assert_eq!(back.arms(), 5);
     }
 
     #[test]

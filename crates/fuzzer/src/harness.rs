@@ -334,7 +334,7 @@ impl ExecScratch {
     /// Environment variable controlling whether new scratches carry a decode
     /// cache: `on`/`1`/`true` (also unset) enable it, `off`/`0`/`false`
     /// select the interpreted oracle path, anything else panics loudly
-    /// (mirroring `MABFUZZ_SHARDS`).
+    /// (mirroring `MABFUZZ_SNAPSHOT_RESET`).
     pub const DECODE_CACHE_ENV: &'static str = "MABFUZZ_DECODE_CACHE";
 
     /// Environment variable controlling how new scratches reset the

@@ -7,7 +7,7 @@
 //! how a campaign splits its rounds, a persistent fork/join [`ShardPool`]
 //! whose workers each own their own [`ExecScratch`], and the
 //! [`derive_stream_seed`] per-test RNG derivation. The ordered reduce lives
-//! in the orchestrator (`mabfuzz::MabFuzzer::run_sharded`).
+//! in the campaign loop (`mabfuzz::Campaign::execute`).
 //!
 //! # Determinism contract
 //!
@@ -57,9 +57,9 @@
 //!
 //! A batch size of **1** additionally reproduces the pre-sharding serial
 //! campaign draw-for-draw (all randomness stays on the main RNG in that
-//! degenerate case), which is why `MabFuzzer::run` — the path every
-//! published paper artefact goes through — is the `ShardPlan::serial()`
-//! special case of the sharded loop and stayed byte-identical.
+//! degenerate case), which is why a campaign on `ShardPlan::serial()` — the
+//! plan every published paper artefact uses — is a special case of the
+//! sharded loop and stayed byte-identical.
 //!
 //! ## Edge-coverage folds
 //!
@@ -76,7 +76,7 @@
 //! novelty deltas identically. Shard-count independence of edge campaigns is
 //! pinned end to end by `mabfuzz::campaign`'s
 //! `edge_signal_campaigns_are_shard_count_independent` and the
-//! `edge-coverage-equivalence` CI job.
+//! `oracle-equivalence` CI job.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -114,12 +114,8 @@ impl ShardPlan {
     /// the shard count, so results stay comparable across shard counts.
     pub const DEFAULT_BATCH: usize = 32;
 
-    /// The environment variable [`ShardPlan::from_env`] reads.
-    pub const ENV_VAR: &'static str = "MABFUZZ_SHARDS";
-
     /// The legacy plan: one test per round on the calling thread. This is
-    /// the reference behaviour of `MabFuzzer::run` and of every published
-    /// experiment artefact.
+    /// the reference behaviour every published experiment artefact uses.
     pub fn serial() -> ShardPlan {
         ShardPlan { shards: 1, batch_size: 1 }
     }
@@ -158,28 +154,6 @@ impl ShardPlan {
     /// Returns `true` for the legacy one-test-per-round plan.
     pub fn is_serial(&self) -> bool {
         self.shards == 1 && self.batch_size == 1
-    }
-
-    /// Builds a sharded plan from the `MABFUZZ_SHARDS` environment variable.
-    ///
-    /// Returns `Ok(None)` when the variable is unset and `Err` when it is
-    /// set but unparsable — a malformed value must fail loudly rather than
-    /// silently fall back to the serial plan, which is a *different
-    /// deterministic campaign* (see [`ShardPlan`]). A forced value of `0`
-    /// or `1` still selects the batched single-shard mode (same results as
-    /// any other shard count), which is what the CI determinism matrix
-    /// relies on.
-    pub fn from_env() -> Result<Option<ShardPlan>, String> {
-        match std::env::var(ShardPlan::ENV_VAR) {
-            Err(_) => Ok(None),
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(shards) => Ok(Some(ShardPlan::sharded(shards))),
-                Err(error) => Err(format!(
-                    "{}: expected a shard count, got `{raw}` ({error})",
-                    ShardPlan::ENV_VAR
-                )),
-            },
-        }
     }
 }
 

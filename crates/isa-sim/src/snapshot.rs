@@ -78,7 +78,7 @@ impl ResetPolicy {
     /// `on`/`1`/`true` (also unset or empty) select
     /// [`SnapshotReset`](ResetPolicy::SnapshotReset), `off`/`0`/`false` select
     /// [`FullReinit`](ResetPolicy::FullReinit), anything else panics loudly
-    /// (mirroring `MABFUZZ_DECODE_CACHE` and `MABFUZZ_SHARDS`).
+    /// (mirroring `MABFUZZ_DECODE_CACHE`).
     pub fn from_env() -> ResetPolicy {
         match std::env::var(ResetPolicy::ENV_VAR) {
             Err(std::env::VarError::NotPresent) => ResetPolicy::SnapshotReset,

@@ -1,7 +1,9 @@
 //! The campaign daemon: TCP accept loop, request routing, worker pool.
 
+use std::any::Any;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -214,22 +216,47 @@ impl std::fmt::Debug for CampaignServer {
 
 /// One worker: pop queued campaigns and execute them until shutdown drains
 /// the queue.
+///
+/// A campaign that panics (e.g. inside a runtime-registered policy) fails
+/// that campaign alone: its status becomes `failed` with the panic message,
+/// its event stream closes, and the worker moves on to the next job.
 fn worker_loop(hub: &Hub) {
     while let Some((id, spec, events, cancel)) = hub.next_job() {
         let log = EventLog::new(events.clone());
         match Campaign::from_spec(&spec) {
             Ok(campaign) => {
-                let outcome = campaign
-                    .with_observer(Box::new(log))
-                    .with_cancellation(cancel.clone())
-                    .execute();
-                hub.complete(id, campaign_json(&spec, &outcome), cancel.was_interrupted());
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    campaign
+                        .with_observer(Box::new(log))
+                        .with_cancellation(cancel.clone())
+                        .execute()
+                }));
+                match run {
+                    Ok(outcome) => hub.complete(
+                        id,
+                        campaign_json(&spec, &outcome),
+                        cancel.was_interrupted(),
+                    ),
+                    Err(payload) => {
+                        hub.fail(id, format!("campaign panicked: {}", panic_message(&*payload)));
+                    }
+                }
             }
             // Submission validates specs, so this arm is a backstop (e.g. a
             // custom policy unregistered between submit and execution).
             Err(error) => hub.fail(id, error.to_string()),
         }
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Handles one keep-alive connection: loops reading requests until the peer
@@ -512,6 +539,16 @@ mod tests {
             authorization: authorization.map(str::to_owned),
             close: false,
         }
+    }
+
+    #[test]
+    fn panic_messages_read_str_and_string_payloads() {
+        let payload = std::panic::catch_unwind(|| panic!("static text")).unwrap_err();
+        assert_eq!(panic_message(&*payload), "static text");
+        let payload = std::panic::catch_unwind(|| panic!("arm {}", 3)).unwrap_err();
+        assert_eq!(panic_message(&*payload), "arm 3");
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(&*payload), "non-string panic payload");
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! ```
 
 use std::env;
-use std::sync::Arc;
 
-use fuzzer::{CampaignConfig, CampaignStats, TheHuzzFuzzer};
+use fuzzer::{CampaignConfig, CampaignStats};
 use mab::BanditKind;
-use mabfuzz::{MabFuzzConfig, MabFuzzer};
-use proc_sim::{Processor, ProcessorKind};
+use mabfuzz::{BugSpec, Campaign, CampaignSpec, PolicySpec};
+use proc_sim::ProcessorKind;
 
 fn main() {
     let core_kind = env::args()
@@ -31,15 +30,21 @@ fn main() {
         sample_interval: (budget / 10).max(1),
         ..CampaignConfig::default()
     };
-    let build_target = || -> Arc<dyn Processor> { Arc::from(core_kind.build_with_native_bugs()) };
+    let run = |policy: PolicySpec| {
+        let spec = CampaignSpec::builder()
+            .policy(policy)
+            .campaign(campaign.clone())
+            .rng_seed(3)
+            .processor(core_kind, BugSpec::Native)
+            .build()
+            .expect("valid spec");
+        Campaign::from_spec(&spec).expect("valid spec").execute().stats
+    };
 
-    let mut results: Vec<CampaignStats> =
-        vec![TheHuzzFuzzer::new(build_target(), campaign.clone(), 3).run()];
-    for kind in BanditKind::ALL {
-        let mut config = MabFuzzConfig::new(kind);
-        config.campaign = campaign.clone();
-        results.push(MabFuzzer::new(build_target(), config, 3).run().stats);
-    }
+    let results: Vec<CampaignStats> = std::iter::once(PolicySpec::Baseline)
+        .chain(BanditKind::ALL.map(PolicySpec::Bandit))
+        .map(run)
+        .collect();
 
     // Print the coverage curve samples side by side.
     println!("{:>8} {:>12} {:>12} {:>12} {:>12}", "#tests", "TheHuzz", "eps-greedy", "UCB", "EXP3");

@@ -1,9 +1,8 @@
 //! Registered custom policy: an optimistic Thompson variant end-to-end
 //! through the campaign-spec API.
 //!
-//! Where `examples/custom_bandit.rs` plugs a policy in imperatively through
-//! `MabFuzzer::with_bandit`, this example uses the *registry* redesign: a
-//! policy is registered once under a fresh name, and from then on it behaves
+//! This is how MABFuzz stays agnostic to the MAB algorithm: a policy is
+//! registered once under a fresh name, and from then on it behaves
 //! exactly like a built-in algorithm — it parses by name, it is named in a
 //! declarative [`CampaignSpec`], it drives a full campaign through
 //! `Campaign::from_spec(...).execute()`, and it appears in the report label

@@ -7,7 +7,7 @@
 //! (re-bless with `UPDATE_GOLDEN=1`, like the other goldens). CI
 //! additionally checks the `experiments run --coverage-signal edge` binary
 //! path against the same snapshot and `cmp`s the edge event streams across
-//! shard counts (the `edge-coverage-equivalence` job).
+//! shard counts (the `oracle-equivalence` CI job).
 //!
 //! The suite also pins the two structural guarantees the snapshot alone
 //! cannot express: the edge campaign's outcome is *identical for every

@@ -17,10 +17,9 @@
 //! `cmp`s the snapshot against the actual binary's output and uploads both
 //! as artifacts on failure.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mabfuzz_bench::{ablation, fig3, fig4, json, table1, ExperimentBudget, Parallelism};
+use mabfuzz_bench::{ExperimentBudget, LocalRunner, Parallelism, ShardPlan};
 use proc_sim::{ProcessorKind, Vulnerability};
 
 fn golden_path() -> PathBuf {
@@ -28,29 +27,19 @@ fn golden_path() -> PathBuf {
 }
 
 /// Renders the four JSON documents of `experiments all --json` (one per
-/// line, trailing newline) under the CI smoke budget.
+/// line, trailing newline) under the CI smoke budget, through the same
+/// library function the binary prints.
 fn render_smoke_report() -> String {
-    let budget = ExperimentBudget::smoke(); // 120 tests / 250 cap / 1 rep / seed 7
     // Serial grid: the executor's own equivalence tests guarantee every
     // other mode produces the same bytes.
-    let parallelism = Parallelism::Serial;
-    let cores = ProcessorKind::ALL;
-    let ablation_core = cores[0];
-
-    let mut out = String::new();
-    let table1 = table1::run_for_with(&Vulnerability::ALL, &budget, parallelism);
-    writeln!(out, "{}", json::table1(&table1)).expect("string write");
-    let fig3 = fig3::run_for_with(&cores, &budget, parallelism);
-    writeln!(out, "{}", json::fig3(&fig3)).expect("string write");
-    writeln!(out, "{}", json::fig4(&fig4::from_fig3(&fig3))).expect("string write");
-    let sweeps = [
-        ablation::alpha_sweep_with(ablation_core, &budget, parallelism),
-        ablation::gamma_sweep_with(ablation_core, &budget, parallelism),
-        ablation::arms_sweep_with(ablation_core, &budget, parallelism),
-        ablation::reset_ablation_with(ablation_core, &budget, parallelism),
-    ];
-    writeln!(out, "{}", json::ablations(&sweeps)).expect("string write");
-    out
+    mabfuzz_bench::all_json(
+        &Vulnerability::ALL,
+        &ProcessorKind::ALL,
+        &ExperimentBudget::smoke(), // 120 tests / 250 cap / 1 rep / seed 7
+        &ShardPlan::serial(),
+        &LocalRunner::new(Parallelism::Serial),
+    )
+    .expect("local runs cannot fail")
 }
 
 #[test]

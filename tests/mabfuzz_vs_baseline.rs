@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mabfuzz_suite::fuzzer::{CampaignConfig, TheHuzzFuzzer};
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{MabFuzzConfig, MabFuzzer};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{Processor, ProcessorKind};
 
 const TESTS: u64 = 500;
@@ -23,6 +23,22 @@ fn campaign() -> CampaignConfig {
 
 fn target(kind: ProcessorKind) -> Arc<dyn Processor> {
     Arc::from(kind.build_with_native_bugs())
+}
+
+/// Runs a paper-default MABFuzz campaign of `kind` over `campaign`.
+fn mabfuzz(
+    core: ProcessorKind,
+    kind: BanditKind,
+    campaign: CampaignConfig,
+    seed: u64,
+) -> MabFuzzOutcome {
+    let spec = CampaignSpec::builder()
+        .algorithm(kind)
+        .campaign(campaign)
+        .rng_seed(seed)
+        .build()
+        .expect("valid spec");
+    Campaign::from_spec_on(target(core), &spec).expect("valid spec").execute()
 }
 
 #[test]
@@ -46,12 +62,7 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
         let total: usize = SEEDS
             .iter()
             .map(|&seed| {
-                let mut config = MabFuzzConfig::new(kind);
-                config.campaign = campaign();
-                MabFuzzer::new(target(ProcessorKind::Cva6), config, seed)
-                    .run()
-                    .stats
-                    .final_coverage()
+                mabfuzz(ProcessorKind::Cva6, kind, campaign(), seed).stats.final_coverage()
             })
             .sum();
         best = best.max(total);
@@ -64,9 +75,9 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
 
 #[test]
 fn mabfuzz_resets_arms_during_long_campaigns() {
-    let mut config = MabFuzzConfig::new(BanditKind::Ucb1).with_max_tests(TESTS);
-    config.campaign.max_steps_per_test = 250;
-    let outcome = MabFuzzer::new(target(ProcessorKind::Rocket), config, 8).run();
+    let config =
+        CampaignConfig { max_tests: TESTS, max_steps_per_test: 250, ..CampaignConfig::default() };
+    let outcome = mabfuzz(ProcessorKind::Rocket, BanditKind::Ucb1, config, 8);
     assert!(
         outcome.total_resets > 0,
         "a {TESTS}-test campaign with gamma=3 should hit saturated arms"
@@ -80,16 +91,14 @@ fn mabfuzz_resets_arms_during_long_campaigns() {
 #[test]
 fn equal_budgets_are_enforced_for_a_fair_comparison() {
     let baseline = TheHuzzFuzzer::new(target(ProcessorKind::Boom), campaign(), 2).run();
-    let mut config = MabFuzzConfig::new(BanditKind::EpsilonGreedy);
-    config.campaign = campaign();
-    let mabfuzz = MabFuzzer::new(target(ProcessorKind::Boom), config, 2).run();
+    let outcome = mabfuzz(ProcessorKind::Boom, BanditKind::EpsilonGreedy, campaign(), 2);
     assert_eq!(baseline.tests_executed(), TESTS);
-    assert_eq!(mabfuzz.stats.tests_executed(), TESTS);
+    assert_eq!(outcome.stats.tests_executed(), TESTS);
     // BOOM is the design with the least headroom: both fuzzers should end up
     // in the same coverage ballpark (within 20% of each other under this
     // short budget), mirroring the paper's observation that there is little
     // room for improvement there.
     let a = baseline.final_coverage() as f64;
-    let b = mabfuzz.stats.final_coverage() as f64;
+    let b = outcome.stats.final_coverage() as f64;
     assert!((a - b).abs() / a < 0.20, "baseline {a} vs MABFuzz {b} diverged unexpectedly far");
 }

@@ -18,7 +18,7 @@ use mabfuzz_suite::fuzzer::{
 };
 use mabfuzz_suite::mab::{Bandit, EpsilonGreedy, Exp3, Ucb1};
 use mabfuzz_suite::mabfuzz::{
-    Arm, Campaign, CampaignObserver, CampaignSpec, MabFuzzOutcome, MabFuzzer, SaturationMonitor,
+    Arm, Campaign, CampaignObserver, CampaignSpec, MabFuzzOutcome, SaturationMonitor,
 };
 use mabfuzz_suite::proc_sim::{DutResult, Processor, SimScratch};
 
@@ -28,14 +28,13 @@ fn assert_send_value<T: Send>(_value: &T) {}
 
 #[test]
 fn campaign_state_is_send() {
-    // The fuzzers themselves: what the grid executor moves to its workers.
-    assert_send::<MabFuzzer>();
+    // The baseline fuzzer and the campaign outcome.
     assert_send::<TheHuzzFuzzer>();
     assert_send::<MabFuzzOutcome>();
 
-    // The session redesign: assembled campaigns (observers included — the
-    // trait carries a `Send` supertrait exactly for this), and the specs
-    // the grid fans out.
+    // Assembled campaigns — what the grid executor and the daemon move to
+    // their workers (observers included: the trait carries a `Send`
+    // supertrait exactly for this) — and the specs the grid fans out.
     assert_send::<Campaign>();
     assert_send::<CampaignSpec>();
     assert_send::<Box<dyn CampaignObserver>>();

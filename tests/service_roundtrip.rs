@@ -323,3 +323,97 @@ fn baseline_campaigns_stream_their_golden_protocol_remotely() {
     client.shutdown().expect("shutdown request");
     server.join().expect("server thread").expect("clean shutdown");
 }
+
+/// A registered policy whose `select` panics: a stand-in for a buggy
+/// runtime-registered bandit.
+struct PanickingSelect {
+    kind: mabfuzz_suite::mab::BanditKind,
+    arms: usize,
+}
+
+impl mabfuzz_suite::mab::Bandit for PanickingSelect {
+    fn kind(&self) -> mabfuzz_suite::mab::BanditKind {
+        self.kind
+    }
+    fn arms(&self) -> usize {
+        self.arms
+    }
+    fn select(&mut self, _rng: &mut dyn rand::RngCore) -> usize {
+        panic!("select exploded");
+    }
+    fn update(&mut self, _arm: usize, _reward: f64) {}
+    fn reset_arm(&mut self, _arm: usize) {}
+    fn value(&self, _arm: usize) -> f64 {
+        0.0
+    }
+    fn pulls(&self, _arm: usize) -> u64 {
+        0
+    }
+}
+
+/// Polls until the campaign is terminal, failing (instead of hanging) when
+/// it never gets there.
+fn wait_terminal_within(client: &Client, id: u64, limit: Duration) -> String {
+    let deadline = std::time::Instant::now() + limit;
+    loop {
+        let status = client.status(id).expect("status");
+        if status.is_terminal() {
+            return status.status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "campaign {id} is still `{}` after {limit:?}",
+            status.status
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_panicking_campaign_fails_alone_and_the_worker_survives() {
+    mabfuzz_suite::mab::register_policy(
+        "service-test-panicking-select",
+        |params: &mabfuzz_suite::mab::PolicyParams| {
+            Box::new(PanickingSelect { kind: params.kind, arms: params.arms })
+        },
+    )
+    .expect("fresh name");
+    let spec = |policy: &str| {
+        CampaignSpec::builder()
+            .policy_named(policy)
+            .arms(4)
+            .max_tests(20)
+            .max_steps_per_test(200)
+            .rng_seed(3)
+            .processor(
+                mabfuzz_suite::proc_sim::ProcessorKind::Rocket,
+                mabfuzz_suite::mabfuzz::BugSpec::None,
+            )
+            .build()
+            .expect("valid spec")
+    };
+
+    // One worker: the valid campaign below can only finish if the worker
+    // that ran the panicking one is still alive.
+    let (client, server) = start_server(1);
+    let id = client.submit(&spec("service-test-panicking-select").to_json()).expect("submit");
+    let (stream_tx, stream_rx) = mpsc::channel();
+    {
+        let client = client.clone();
+        thread::spawn(move || stream_tx.send(client.events(id)));
+    }
+    let limit = Duration::from_secs(30);
+    assert_eq!(wait_terminal_within(&client, id, limit), "failed");
+    let report = client.report(id).expect("failed campaigns report their error");
+    assert!(report.contains("campaign panicked: select exploded"), "{report}");
+    let streamed = stream_rx
+        .recv_timeout(limit)
+        .expect("the event stream of a panicked campaign terminates");
+    streamed.expect("the stream ends cleanly");
+
+    let valid = client.submit(&spec("ucb").to_json()).expect("submit");
+    assert_eq!(wait_terminal_within(&client, valid, limit), "finished");
+
+    client.shutdown().expect("shutdown request");
+    server.join().expect("server thread").expect("clean shutdown");
+}

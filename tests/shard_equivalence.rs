@@ -2,7 +2,7 @@
 //! (rocket / cva6 / boom) × bandit (ε-greedy / UCB1 / EXP3), the **full
 //! campaign report** — coverage series, cumulative history, rewards as
 //! observed through the final bandit-driven arm statistics, detections and
-//! reset counts — is byte-identical for 1, 2, 3 and 7 shards.
+//! reset counts — is byte-identical for 1, 2, 3, 4 and 7 shards.
 //!
 //! The suite pins the three rules of the determinism contract documented in
 //! `fuzzer::shard`: per-test RNG streams derived from
@@ -11,13 +11,10 @@
 //! (core, bandit, shard-count) cell here diverges from its 1-shard
 //! reference.
 //!
-//! CI runs this file under `--test-threads=1` with `MABFUZZ_SHARDS` forced
-//! to several values; a forced count is added to the tested set below.
-
 use std::sync::Arc;
 
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{MabFuzzConfig, MabFuzzOutcome, MabFuzzer, ShardPlan};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, CampaignSpecBuilder, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
 /// Batch size shared by every plan in the suite: cross-shard-count
@@ -29,26 +26,31 @@ const BATCH: usize = 5;
 /// mutations and (with γ=2) arm resets.
 const MAX_TESTS: u64 = 45;
 
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 7];
-    if let Ok(forced) = std::env::var("MABFUZZ_SHARDS") {
-        if let Ok(forced) = forced.trim().parse::<usize>() {
-            if forced > 0 && !counts.contains(&forced) {
-                counts.push(forced);
-            }
-        }
-    }
-    counts
+/// Shard counts every campaign is compared across.
+const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
+
+/// Runs the campaign `spec` describes on `processor`, split across `shards`
+/// shard workers at the suite's fixed batch size.
+fn run_sharded(
+    processor: Arc<dyn Processor>,
+    spec: CampaignSpecBuilder,
+    shards: usize,
+) -> MabFuzzOutcome {
+    let spec = spec.shards(shards).batch_size(BATCH).build().expect("valid spec");
+    Campaign::from_spec_on(processor, &spec).expect("valid spec").execute()
 }
 
 fn campaign(core: ProcessorKind, kind: BanditKind, shards: usize) -> MabFuzzOutcome {
-    let processor: Arc<dyn Processor> = Arc::from(core.build(BugSet::none()));
-    let mut config = MabFuzzConfig::new(kind).with_arms(4).with_gamma(2).with_max_tests(MAX_TESTS);
-    config.campaign.max_steps_per_test = 200;
-    config.campaign.sample_interval = 5;
-    config.campaign.mutations_per_interesting_test = 2;
-    MabFuzzer::new(processor, config, 0xD15E + core as u64)
-        .run_sharded(&ShardPlan::sharded(shards).with_batch_size(BATCH))
+    let spec = CampaignSpec::builder()
+        .algorithm(kind)
+        .arms(4)
+        .gamma(2)
+        .max_tests(MAX_TESTS)
+        .max_steps_per_test(200)
+        .sample_interval(5)
+        .mutations_per_interesting_test(2)
+        .rng_seed(0xD15E + core as u64);
+    run_sharded(Arc::from(core.build(BugSet::none())), spec, shards)
 }
 
 #[test]
@@ -58,7 +60,7 @@ fn campaign_reports_are_byte_identical_across_shard_counts() {
             let reference = campaign(core, kind, 1);
             assert_eq!(reference.stats.tests_executed(), MAX_TESTS, "{core} {kind}");
             assert!(reference.stats.final_coverage() > 0, "{core} {kind}");
-            for shards in shard_counts() {
+            for shards in SHARD_COUNTS {
                 let sharded = campaign(core, kind, shards);
                 // Structured equality over the whole outcome first …
                 assert_eq!(
@@ -99,17 +101,20 @@ fn detection_campaigns_are_byte_identical_across_shard_counts() {
     let run = |shards: usize| {
         let processor: Arc<dyn Processor> =
             Arc::from(ProcessorKind::Cva6.build(BugSet::only(Vulnerability::V5MissingAccessFault)));
-        let mut config = MabFuzzConfig::new(BanditKind::Ucb1).with_arms(4).with_max_tests(600);
-        config.campaign.max_steps_per_test = 200;
-        config.campaign.stop_on_first_detection = true;
-        MabFuzzer::new(processor, config, 3)
-            .run_sharded(&ShardPlan::sharded(shards).with_batch_size(BATCH))
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::Ucb1)
+            .arms(4)
+            .max_tests(600)
+            .max_steps_per_test(200)
+            .stop_on_first_detection(true)
+            .rng_seed(3);
+        run_sharded(processor, spec, shards)
     };
     let reference = run(1);
     let detection =
         reference.stats.first_detection().expect("V5 must be detected within the budget");
     assert_eq!(reference.stats.tests_executed(), detection);
-    for shards in shard_counts() {
+    for shards in SHARD_COUNTS {
         let sharded = run(shards);
         assert_eq!(reference, sharded, "{shards} shards changed the detection outcome");
         assert_eq!(sharded.stats.first_detection(), Some(detection));
@@ -126,11 +131,17 @@ fn equivalence_holds_per_batch_size_not_across() {
         Arc::from(ProcessorKind::Rocket.build(BugSet::none()))
     };
     let run = |batch: usize| {
-        let mut config =
-            MabFuzzConfig::new(BanditKind::EpsilonGreedy).with_arms(4).with_max_tests(40);
-        config.campaign.max_steps_per_test = 200;
-        MabFuzzer::new(processor(), config, 11)
-            .run_sharded(&ShardPlan::sharded(2).with_batch_size(batch))
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::EpsilonGreedy)
+            .arms(4)
+            .max_tests(40)
+            .max_steps_per_test(200)
+            .rng_seed(11)
+            .shards(2)
+            .batch_size(batch)
+            .build()
+            .expect("valid spec");
+        Campaign::from_spec_on(processor(), &spec).expect("valid spec").execute()
     };
     let small = run(2);
     let large = run(8);

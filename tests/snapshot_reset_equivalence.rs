@@ -16,39 +16,30 @@
 //! The test manipulates the process environment, so it is the only `#[test]`
 //! in this binary and performs the on/off runs sequentially.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use fuzzer::ExecScratch;
-use mabfuzz_bench::{ablation, fig3, fig4, json, table1, ExperimentBudget, Parallelism};
+use mabfuzz_bench::{ExperimentBudget, LocalRunner, Parallelism, ShardPlan};
 use proc_sim::{ProcessorKind, Vulnerability};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/experiments_smoke.json")
 }
 
-/// Renders the CI smoke report exactly like `tests/golden_experiments.rs`
-/// (the two must stay in lockstep; that test owns the snapshot).
+/// Renders the CI smoke report through the library function behind
+/// `experiments all --json` (`tests/golden_experiments.rs` owns the
+/// snapshot).
 fn render_smoke_report() -> String {
-    let budget = ExperimentBudget::smoke();
-    let parallelism = Parallelism::Serial;
-    let cores = ProcessorKind::ALL;
-    let ablation_core = cores[0];
-
-    let mut out = String::new();
-    let table1 = table1::run_for_with(&Vulnerability::ALL, &budget, parallelism);
-    writeln!(out, "{}", json::table1(&table1)).expect("string write");
-    let fig3 = fig3::run_for_with(&cores, &budget, parallelism);
-    writeln!(out, "{}", json::fig3(&fig3)).expect("string write");
-    writeln!(out, "{}", json::fig4(&fig4::from_fig3(&fig3))).expect("string write");
-    let sweeps = [
-        ablation::alpha_sweep_with(ablation_core, &budget, parallelism),
-        ablation::gamma_sweep_with(ablation_core, &budget, parallelism),
-        ablation::arms_sweep_with(ablation_core, &budget, parallelism),
-        ablation::reset_ablation_with(ablation_core, &budget, parallelism),
-    ];
-    writeln!(out, "{}", json::ablations(&sweeps)).expect("string write");
-    out
+    // Serial grid: the executor's own equivalence tests guarantee every
+    // other mode produces the same bytes.
+    mabfuzz_bench::all_json(
+        &Vulnerability::ALL,
+        &ProcessorKind::ALL,
+        &ExperimentBudget::smoke(), // 120 tests / 250 cap / 1 rep / seed 7
+        &ShardPlan::serial(),
+        &LocalRunner::new(Parallelism::Serial),
+    )
+    .expect("local runs cannot fail")
 }
 
 #[test]
