@@ -1,10 +1,10 @@
 //! Static analysis of RISC-V text images: basic blocks, a *total* control-flow
 //! graph, and per-block register liveness.
 //!
-//! The analyzer runs **once per text image** — the fuzzing pipeline attaches
-//! its result to the decode cache entry for the image (see
-//! `isa_sim::DecodeCache::get_or_decode_with_facts`), so steady-state fuzzing
-//! pays for analysis only on a cache miss. Everything here is a pure function
+//! The analyzer runs **at most once per test** — the fuzzing pipeline keeps
+//! its result beside the decoded image of the test's program (see
+//! `isa_sim::DecodeCache::get_or_decode_with_facts`), and only edge-signal
+//! campaigns ask for it. Everything here is a pure function
 //! of the text bytes: no global state, no randomness, no wall clock.
 //!
 //! # CFG closure rules

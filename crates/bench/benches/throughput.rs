@@ -59,8 +59,10 @@ fn bench_single_test_throughput(c: &mut Criterion) {
             },
         );
         // The same harness with the decode cache pinned on and off,
-        // independent of `MABFUZZ_DECODE_CACHE`: the cached/interpreted
-        // spread is the per-test win of executing pre-decoded `Instr`s.
+        // independent of `MABFUZZ_DECODE_CACHE`. This is a hot-cache case:
+        // one program repeated, so every `decoded` lookup after the first
+        // hits. Campaigns almost never repeat a program, so the
+        // cached/interpreted spread is not the per-test win of pre-decoding.
         group.bench_with_input(
             BenchmarkId::new("decoded", core.name()),
             &core,

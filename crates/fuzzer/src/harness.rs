@@ -187,38 +187,17 @@ impl FuzzHarness {
         scratch: &'s mut ExecScratch,
     ) -> TestOutcomeView<'s> {
         let edge_signal = self.signal == CoverageSignal::Edge;
-        match scratch.decode_cache.as_mut() {
-            Some(cache) if edge_signal => {
-                // The facts lookup shares the cache entry (and the stats
-                // stream) with the plain decode lookup: analysis runs once
-                // per distinct text image.
-                let (decoded, facts) = cache.get_or_decode_with_facts(program);
-                self.processor.run_decoded_into(
-                    program,
-                    decoded,
-                    self.max_steps,
-                    &mut scratch.sim,
-                    &mut scratch.dut,
-                );
-                self.golden.run_decoded_into(
-                    program,
-                    decoded,
-                    self.max_steps,
-                    &mut scratch.golden_trace,
-                    &mut scratch.golden_scratch,
-                );
-                map_edge_coverage(
-                    facts,
-                    &self.edge_space,
-                    &scratch.dut.trace,
-                    &mut scratch.edge_coverage,
-                );
-            }
+        let fresh_facts;
+        let facts = match scratch.decode_cache.as_mut() {
             Some(cache) => {
-                // One cache lookup serves both simulators: the image is
-                // decoded (and the text encoded) at most once per distinct
-                // program, instead of once per word per step per simulator.
-                let decoded = cache.get_or_decode(program);
+                // One lookup per test serves both simulators; facts are
+                // analyzed only under the edge signal.
+                let (decoded, facts) = if edge_signal {
+                    let (decoded, facts) = cache.get_or_decode_with_facts(program);
+                    (decoded, Some(facts))
+                } else {
+                    (cache.get_or_decode(program), None)
+                };
                 self.processor.run_decoded_into(
                     program,
                     decoded,
@@ -233,13 +212,13 @@ impl FuzzHarness {
                     &mut scratch.golden_trace,
                     &mut scratch.golden_scratch,
                 );
+                facts
             }
             // Oracle mode (`MABFUZZ_DECODE_CACHE=off`): the interpreted
             // fetch/decode path, kept alive as the differential reference
-            // the cached path is byte-compared against in tests and CI.
-            // Under the edge signal it also re-analyzes the image per test —
-            // analysis is a pure function of the text bytes, so the cached
-            // and fresh facts are interchangeable.
+            // the pre-decoded path is byte-compared against in tests and CI.
+            // Analysis is a pure function of the text bytes, so its fresh
+            // facts are interchangeable with the memo's.
             None => {
                 self.processor.run_into(
                     program,
@@ -253,16 +232,17 @@ impl FuzzHarness {
                     &mut scratch.golden_trace,
                     &mut scratch.golden_scratch,
                 );
-                if edge_signal {
-                    let facts = ProgramFacts::analyze(&program.text_bytes());
-                    map_edge_coverage(
-                        &facts,
-                        &self.edge_space,
-                        &scratch.dut.trace,
-                        &mut scratch.edge_coverage,
-                    );
-                }
+                fresh_facts = edge_signal.then(|| ProgramFacts::analyze(&program.text_bytes()));
+                fresh_facts.as_ref()
             }
+        };
+        if let Some(facts) = facts {
+            map_edge_coverage(
+                facts,
+                &self.edge_space,
+                &scratch.dut.trace,
+                &mut scratch.edge_coverage,
+            );
         }
         compare_traces_into(&scratch.dut.trace, &scratch.golden_trace, &mut scratch.diff);
         TestOutcomeView {
@@ -308,14 +288,15 @@ fn map_edge_coverage(
 /// Owns everything a simulate–compare iteration writes: the DUT result
 /// (trace + coverage bitmap), the DUT's microarchitectural scratch, the
 /// golden model's trace and memory image, the differential report — and the
-/// worker's private [`DecodeCache`]. Because the cache lives *inside* the
-/// scratch, every campaign and every shard worker owns its own: the hot path
-/// shares no mutable state, and a worker's hit/miss sequence is a pure
-/// function of the programs it simulates (never of shard count or thread
-/// interleaving). The same per-worker reasoning covers the snapshot/dirty
-/// reset state inside both simulators' scratches: what a restore cleans is
-/// a pure function of what the same worker's previous test dirtied, and the
-/// restored state is byte-identical to a fresh one either way.
+/// worker's private [`DecodeCache`], which holds the image of the last
+/// program simulated. Because the memo lives *inside* the scratch, every
+/// campaign and every shard worker owns its own: the hot path shares no
+/// mutable state, and a worker's hit/miss sequence is a pure function of the
+/// programs it simulates (never of shard count or thread interleaving). The
+/// same per-worker reasoning covers the snapshot/dirty reset state inside
+/// both simulators' scratches: what a restore cleans is a pure function of
+/// what the same worker's previous test dirtied, and the restored state is
+/// byte-identical to a fresh one either way.
 #[derive(Debug)]
 pub struct ExecScratch {
     sim: SimScratch,
@@ -391,8 +372,8 @@ impl ExecScratch {
         self.sim.reset_policy().is_snapshot()
     }
 
-    /// Returns the decode cache's hit/miss/eviction counters (all zero in
-    /// oracle mode).
+    /// Returns the decode memo's hit/miss counters (all zero in oracle
+    /// mode).
     pub fn decode_cache_stats(&self) -> DecodeCacheStats {
         self.decode_cache.as_ref().map(DecodeCache::stats).unwrap_or_default()
     }
@@ -598,9 +579,9 @@ mod tests {
             let mut oracle = ExecScratch::with_decode_cache(false);
             assert!(cached.decode_cache_enabled());
             assert!(!oracle.decode_cache_enabled());
-            // Interleave repeats so the cached scratch actually hits.
+            // Each program runs twice back to back, so the memo also hits.
             let programs = mixed_program_set();
-            for prog in programs.iter().chain(programs.iter()) {
+            for prog in programs.iter().flat_map(|prog| [prog, prog]) {
                 let a = harness.run_program_into(prog, &mut cached).to_outcome();
                 let b = harness.run_program_into(prog, &mut oracle).to_outcome();
                 assert_eq!(a.coverage, b.coverage);
@@ -609,8 +590,8 @@ mod tests {
                 assert_eq!(a.golden_commits, b.golden_commits);
             }
             let stats = cached.decode_cache_stats();
-            assert_eq!(stats.misses, 5, "each distinct program decodes once");
-            assert_eq!(stats.hits, 5, "the second pass is all hits");
+            assert_eq!(stats.misses, 5, "each first run decodes");
+            assert_eq!(stats.hits, 5, "each back-to-back repeat hits");
             assert_eq!(oracle.decode_cache_stats().lookups(), 0, "oracle mode never looks up");
         }
     }
@@ -679,7 +660,7 @@ mod tests {
             let mut cached = ExecScratch::with_decode_cache(true);
             let mut oracle = ExecScratch::with_decode_cache(false);
             let programs = mixed_program_set();
-            for prog in programs.iter().chain(programs.iter()) {
+            for prog in programs.iter().flat_map(|prog| [prog, prog]) {
                 let a = harness.run_program_into(prog, &mut cached).to_outcome();
                 let b = harness.run_program_into(prog, &mut oracle).to_outcome();
                 assert_eq!(a.coverage, b.coverage);
@@ -709,9 +690,10 @@ mod tests {
         // subsequence).
         let harness = FuzzHarness::new(Arc::new(RocketCore::new(BugSet::none())), 500);
         let programs = mixed_program_set();
-        let order = [0usize, 1, 0, 2, 2, 3, 0, 4, 1];
+        let order = [0usize, 1, 0, 2, 3, 0, 4, 1];
         let run = |scratch: &mut ExecScratch| {
-            for &i in &order {
+            // Each program runs twice back to back: a miss, then a hit.
+            for &i in order.iter().flat_map(|i| [i, i]) {
                 harness.run_program_into(&programs[i], scratch);
             }
             scratch.decode_cache_stats()
@@ -724,7 +706,7 @@ mod tests {
         let mut second = ExecScratch::with_decode_cache(true);
         let stats_second = run(&mut second);
         assert_eq!(stats_first, stats_second);
-        assert_eq!(stats_first.misses, 5);
-        assert_eq!(stats_first.hits, 4);
+        assert_eq!(stats_first.misses, 8);
+        assert_eq!(stats_first.hits, 8);
     }
 }

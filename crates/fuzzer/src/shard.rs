@@ -30,8 +30,9 @@
 //!    coverage bitmap and diff regardless of which scratch buffers it reuses
 //!    (the harness tests pin this). The scratch's decode cache preserves the
 //!    rule: it is private to the worker (no shared mutable state on the hot
-//!    path) and only memoises the program→decoded-image function, so a hit
-//!    and a miss produce identical outcomes — and therefore shard count can
+//!    path) and holds only the decoded image of the worker's previous
+//!    program, reused when the next program has the same text, so a hit and
+//!    a miss produce identical outcomes — and therefore shard count can
 //!    change neither results nor, for a given worker subsequence, hit
 //!    behaviour. The snapshot/dirty reset (`isa_sim::snapshot`) preserves
 //!    the rule the same way: the dirty state a restore cleans is private to
@@ -68,9 +69,9 @@
 //! with no new rules. Rule 2 holds because the static CFG an edge bitmap is
 //! keyed by is itself a pure function of the program's text bytes
 //! (`analysis::ProgramFacts::analyze`, pinned by the purity proptest in
-//! `isa_sim::decoded`), and the per-worker decode cache memoises the facts
-//! alongside the decoded image — a hit and a miss hand the harness the same
-//! edge ids. Rule 3 holds because an edge map is a fixed-length
+//! `isa_sim::decoded`), and the per-worker decode cache computes the facts
+//! of the image it holds and drops them when the image changes — a hit and
+//! a miss hand the harness the same edge ids. Rule 3 holds because an edge map is a fixed-length
 //! [`coverage::EdgeSpace`] bitmap folded with the same associative
 //! `merge_counting` union as the point bitmap; the ordered fold recovers the
 //! novelty deltas identically. Shard-count independence of edge campaigns is
@@ -533,7 +534,8 @@ mod tests {
         // Shard workers default to cached scratches (`ExecScratch::new`);
         // every shard count must still reproduce the *interpreted* serial
         // reference byte for byte, even when the batch repeats programs so
-        // the workers' private caches genuinely hit. Together with the
+        // a worker's private cache genuinely hits (at 7 shards each worker
+        // sees its program twice back to back). Together with the
         // harness tests (hit stats are a pure function of the per-worker
         // program subsequence, which rule (2) of the determinism contract
         // fixes for every shard count), this pins that shard count never

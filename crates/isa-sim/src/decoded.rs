@@ -1,36 +1,36 @@
-//! Pre-decoded program images and the per-worker decode cache.
+//! Pre-decoded program images and the per-worker decode memo.
 //!
 //! Both the golden model ([`GoldenSim`](crate::GoldenSim)) and the `proc-sim`
-//! processor models are fetch→decode→execute interpreters. MABFuzz campaigns
-//! re-simulate tiny generated programs thousands of times, and a 300-step run
-//! of a 20-instruction program used to call `riscv::decode` 300 times *per
-//! simulator* — the decode cache turns that into 20 decodes total, amortised
-//! across every re-simulation of the same text image.
+//! processor models are fetch→decode→execute interpreters. A 300-step run of
+//! a 20-instruction program used to call `riscv::decode` 300 times *per
+//! simulator*. Decoding the image once per test turns that into 20 decodes,
+//! and one [`DecodeCache`] lookup serves both simulators of the test.
 //!
 //! # Invariants
 //!
-//! The cache is sound because of three properties, each pinned by tests:
+//! Pre-decoding is sound because of three properties, each pinned by tests:
 //!
 //! * **Text is immutable during execution.** `Memory::can_store` only permits
 //!   stores to the `Data` region, so a running program can never modify the
 //!   bytes a [`DecodedProgram`] was decoded from (see
 //!   [`Memory::fetch`](crate::Memory::fetch) for the full argument). A
 //!   pre-decoded image therefore stays valid for the whole run.
-//! * **Keying is by exact text bytes.** Entries are looked up by a 64-bit
-//!   FNV-1a hash of the encoded text image *and verified with a byte
-//!   comparison on every hit*, so a hash collision degrades to a miss-and-
-//!   replace, never to executing the wrong program. Two programs with equal
-//!   text but different data regions share an entry by design: decode does
-//!   not depend on the data image, which is loaded separately per run.
-//! * **Architectural decode only.** A [`DecodedSlot`] caches the result of
+//! * **Matching is by exact text bytes.** A lookup hits only when the held
+//!   image's text equals the program's encoded text byte for byte. Two
+//!   programs with equal text but different data regions share an image by
+//!   design: decode does not depend on the data image, which is loaded
+//!   separately per run.
+//! * **Architectural decode only.** A [`DecodedSlot`] holds the result of
 //!   the *architectural* `riscv::decode` (`instr == None` marks a decode
 //!   fault). Bug-injected decoder behaviour in `proc-sim` (e.g. the V2
-//!   "illegal word still executes" path) layers on top of the cached fault
-//!   exactly as it layers on top of a live `decode` failure — the buggy
-//!   decoders are never bypassed and never cached.
+//!   "illegal word still executes" path) layers on top of the pre-decoded
+//!   fault exactly as it layers on top of a live `decode` failure — the
+//!   buggy decoders are never bypassed and never pre-decoded.
 //!
-//! The cache is bounded ([`DecodeCache::DEFAULT_CAPACITY`] entries, least-
-//! recently-used eviction) and owned per worker — one per
+//! The [`DecodeCache`] holds one image: the last one looked up. Fuzzing
+//! campaigns almost never repeat a text image across tests, so a memo that
+//! spans tests would rarely hit; a miss re-decodes the held image in place,
+//! reusing its buffers. The memo is owned per worker — one per
 //! `fuzzer::ExecScratch`, hence one per campaign or per shard worker — so the
 //! hot path shares no mutable state and hit/miss behaviour depends only on
 //! the sequence of programs a worker simulates, never on shard count or
@@ -42,8 +42,6 @@
 //! `MABFUZZ_DECODE_CACHE=off` makes every `ExecScratch` run both simulators
 //! through `Memory::fetch` + live `decode` again, and CI asserts the smoke
 //! grid's artefacts are byte-identical in both modes.
-
-use std::collections::HashMap;
 
 use analysis::ProgramFacts;
 use riscv::program::TEXT_BASE;
@@ -86,24 +84,28 @@ impl DecodedProgram {
     /// `text` must be instruction-aligned (a multiple of 4 bytes), which every
     /// [`Program`] image is by construction.
     pub(crate) fn from_text(text: Vec<u8>) -> DecodedProgram {
+        let mut program = DecodedProgram { text, slots: Vec::new() };
+        program.decode_slots();
+        program
+    }
+
+    /// Refills `slots` from `text`, reusing the slot allocation.
+    fn decode_slots(&mut self) {
         debug_assert!(
-            text.len().is_multiple_of(4),
+            self.text.len().is_multiple_of(4),
             "program text images are whole instruction words"
         );
-        let mut slots: Vec<DecodedSlot> = text
-            .chunks_exact(4)
-            .map(|chunk| {
-                let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                DecodedSlot { word, instr: decode(word).ok() }
-            })
-            .collect();
-        if slots.is_empty() {
+        self.slots.clear();
+        self.slots.extend(self.text.chunks_exact(4).map(|chunk| {
+            let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            DecodedSlot { word, instr: decode(word).ok() }
+        }));
+        if self.slots.is_empty() {
             // An empty text image still has one fetchable word: the text
             // region spans at least 4 bytes (`Memory::region_of`) and
             // unwritten memory reads zero.
-            slots.push(DecodedSlot { word: 0, instr: decode(0).ok() });
+            self.slots.push(DecodedSlot { word: 0, instr: decode(0).ok() });
         }
-        DecodedProgram { text, slots }
     }
 
     /// Returns the pre-decoded slot fetched at `addr`, or `None` when the
@@ -142,13 +144,11 @@ impl DecodedProgram {
 /// Observable counters of a [`DecodeCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
-    /// Lookups answered from a cached image (verified by byte comparison).
+    /// Lookups answered by the held image (the same text as the previous
+    /// lookup).
     pub hits: u64,
     /// Lookups that had to decode the image.
     pub misses: u64,
-    /// Entries displaced, either by the LRU capacity bound or by a 64-bit
-    /// hash collision replacing the resident image.
-    pub evictions: u64,
 }
 
 impl DecodeCacheStats {
@@ -158,113 +158,66 @@ impl DecodeCacheStats {
     }
 }
 
-struct CacheEntry {
-    decoded: DecodedProgram,
-    /// Static CFG/liveness facts for the image, computed lazily on the first
-    /// [`DecodeCache::get_or_decode_with_facts`] lookup. Point-coverage
-    /// campaigns never ask for facts, so they never pay for the analysis.
-    facts: Option<ProgramFacts>,
-    last_used: u64,
-}
-
-/// A bounded, LRU-evicting cache of [`DecodedProgram`]s keyed by text hash.
+/// A one-image memo of the last [`DecodedProgram`] a worker looked up.
 ///
-/// See the [module docs](self) for the soundness invariants. The cache is a
+/// See the [module docs](self) for the soundness invariants. The memo is a
 /// plain single-owner value: every worker owns its own instance, so lookups
 /// are lock-free and the hit/miss sequence is a pure function of the program
 /// sequence the worker simulates.
+#[derive(Debug, Default)]
 pub struct DecodeCache {
-    // Probed by text hash only; the unique-timestamp LRU below keeps even
-    // eviction free of iteration-order influence.
-    entries: HashMap<u64, CacheEntry>, // detlint: allow(default-hasher)
-    capacity: usize,
-    /// Monotonic lookup counter used as the LRU timestamp. Each entry's
-    /// `last_used` is unique (the counter advances every lookup), so the
-    /// eviction victim is always uniquely determined — no dependence on hash-
-    /// map iteration order.
-    tick: u64,
+    /// The last image looked up; `None` until the first lookup, so the empty
+    /// text of `Program::new()` can never hit a cache that holds nothing.
+    image: Option<DecodedProgram>,
+    /// Static CFG/liveness facts for `image`, computed lazily on the first
+    /// [`DecodeCache::get_or_decode_with_facts`] lookup and dropped on every
+    /// miss. Point-coverage campaigns never ask for facts, so they never pay
+    /// for the analysis.
+    facts: Option<ProgramFacts>,
     stats: DecodeCacheStats,
     text_scratch: Vec<u8>,
 }
 
 impl DecodeCache {
-    /// Default capacity bound, in cached programs.
-    ///
-    /// Campaign working sets are a handful of seeds plus their recent
-    /// mutants; 512 tiny programs (≲100 instructions each) keep re-decodes
-    /// rare for a few megabytes at most.
-    pub const DEFAULT_CAPACITY: usize = 512;
-
-    /// Creates a cache with the default capacity bound.
+    /// Creates an empty memo.
     pub fn new() -> DecodeCache {
-        DecodeCache::with_capacity(DecodeCache::DEFAULT_CAPACITY)
+        DecodeCache::default()
     }
 
-    /// Creates a cache bounded to `capacity` programs.
+    /// Returns the pre-decoded image of `program`: the held image when its
+    /// text equals `program`'s, otherwise the held image re-decoded in place
+    /// from `program`'s text.
     ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> DecodeCache {
-        assert!(capacity > 0, "a decode cache needs room for at least one program");
-        DecodeCache {
-            entries: HashMap::with_capacity(capacity.min(1024)), // detlint: allow(default-hasher)
-            capacity,
-            tick: 0,
-            stats: DecodeCacheStats::default(),
-            text_scratch: Vec::new(),
-        }
-    }
-
-    /// Returns the pre-decoded image of `program`, decoding and caching it on
-    /// a miss.
-    ///
-    /// Hits are verified by comparing the stored text bytes against the
-    /// program's current image, so a stale or hash-colliding entry can never
-    /// be returned.
+    /// A hit compares the full text bytes, so a stale image can never be
+    /// returned.
     pub fn get_or_decode(&mut self, program: &Program) -> &DecodedProgram {
         program.text_bytes_into(&mut self.text_scratch);
-        let key = fnv1a(&self.text_scratch);
-        self.tick += 1;
-
-        let hit = self
-            .entries
-            .get(&key)
-            .is_some_and(|entry| entry.decoded.text == self.text_scratch);
-        if hit {
+        if self.image.as_ref().is_some_and(|image| image.text == self.text_scratch) {
             self.stats.hits += 1;
-            let entry = self.entries.get_mut(&key).expect("hit entry is present");
-            entry.last_used = self.tick;
-            return &entry.decoded;
+        } else {
+            self.stats.misses += 1;
+            self.facts = None;
+            match &mut self.image {
+                // The old text buffer becomes the next lookup's scratch.
+                Some(image) => {
+                    std::mem::swap(&mut image.text, &mut self.text_scratch);
+                    image.decode_slots();
+                }
+                None => {
+                    let text = std::mem::take(&mut self.text_scratch);
+                    self.image = Some(DecodedProgram::from_text(text));
+                }
+            }
         }
-
-        self.stats.misses += 1;
-        if self.entries.contains_key(&key) {
-            // 64-bit hash collision with a different image: replace the
-            // resident entry (the insert below overwrites it).
-            self.stats.evictions += 1;
-        } else if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key)
-                .expect("a full cache has entries");
-            self.entries.remove(&victim);
-            self.stats.evictions += 1;
-        }
-
-        let decoded = DecodedProgram::from_text(self.text_scratch.clone());
-        self.entries.insert(key, CacheEntry { decoded, facts: None, last_used: self.tick });
-        &self.entries.get(&key).expect("entry was just inserted").decoded
+        self.image.as_ref().expect("every lookup leaves an image held")
     }
 
     /// Like [`get_or_decode`](DecodeCache::get_or_decode), additionally
-    /// returning the static [`ProgramFacts`] of the image, computed lazily on
-    /// the first facts lookup and attached to the cache entry afterwards.
+    /// returning the static [`ProgramFacts`] of the image, computed on the
+    /// first facts lookup of a held image.
     ///
     /// Because the analysis is a pure function of the text bytes (pinned by a
-    /// property test below), a cached facts hit is indistinguishable from a
+    /// property test below), memoised facts are indistinguishable from a
     /// fresh `ProgramFacts::analyze` of the same image. Hit/miss accounting is
     /// shared with `get_or_decode`: asking for facts never changes the stats
     /// stream.
@@ -273,63 +226,15 @@ impl DecodeCache {
         program: &Program,
     ) -> (&DecodedProgram, &ProgramFacts) {
         self.get_or_decode(program);
-        // `get_or_decode` left `text_scratch` holding this program's image;
-        // re-derive the key to re-borrow the entry it just ensured.
-        let key = fnv1a(&self.text_scratch);
-        let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-        if entry.facts.is_none() {
-            entry.facts = Some(ProgramFacts::analyze(entry.decoded.text()));
-        }
-        (&entry.decoded, entry.facts.as_ref().expect("facts were just filled"))
+        let image = self.image.as_ref().expect("every lookup leaves an image held");
+        let facts = self.facts.get_or_insert_with(|| ProgramFacts::analyze(image.text()));
+        (image, facts)
     }
 
-    /// Returns the hit/miss/eviction counters.
+    /// Returns the hit/miss counters.
     pub fn stats(&self) -> DecodeCacheStats {
         self.stats
     }
-
-    /// Number of programs currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when no program is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The capacity bound this cache was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl Default for DecodeCache {
-    fn default() -> DecodeCache {
-        DecodeCache::new()
-    }
-}
-
-impl std::fmt::Debug for DecodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecodeCache")
-            .field("len", &self.entries.len())
-            .field("capacity", &self.capacity)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-/// 64-bit FNV-1a over the text image. Deterministic across runs and
-/// platforms (unlike `std`'s seeded hasher), which keeps cache behaviour —
-/// including collision handling — reproducible.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -373,6 +278,11 @@ mod tests {
         assert_eq!(mem.fetch(TEXT_BASE), Some(0));
         assert_eq!(mem.fetch(TEXT_BASE + 4), None);
         assert_eq!(decoded.fetch(TEXT_BASE + 4).map(|s| s.word), None);
+        // The empty text equals a fresh memo's empty scratch buffer; the
+        // memo must still decode it rather than count a hit on nothing.
+        let mut cache = DecodeCache::new();
+        assert_eq!(cache.get_or_decode(&program), &decoded);
+        assert_eq!(cache.stats(), DecodeCacheStats { hits: 0, misses: 1 });
     }
 
     #[test]
@@ -382,8 +292,8 @@ mod tests {
         let first = cache.get_or_decode(&program).clone();
         let second = cache.get_or_decode(&program).clone();
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), DecodeCacheStats { hits: 1, misses: 1, evictions: 0 });
-        assert_eq!(cache.len(), 1);
+        assert_eq!(first, DecodedProgram::from_program(&program));
+        assert_eq!(cache.stats(), DecodeCacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.stats().lookups(), 2);
     }
 
@@ -396,38 +306,14 @@ mod tests {
         let decoded = cache.get_or_decode(&program);
         assert!(decoded.matches(&program));
         assert_eq!(decoded.fetch(TEXT_BASE).unwrap().instr.unwrap().imm, 99);
-        assert_eq!(cache.stats(), DecodeCacheStats { hits: 0, misses: 2, evictions: 0 });
-    }
-
-    #[test]
-    fn lru_eviction_respects_the_capacity_bound() {
-        let mut cache = DecodeCache::with_capacity(2);
-        let a = sample_program(1);
-        let b = sample_program(2);
-        let c = sample_program(3);
-        cache.get_or_decode(&a);
-        cache.get_or_decode(&b);
-        cache.get_or_decode(&a); // `b` is now least recently used
-        cache.get_or_decode(&c); // evicts `b`
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // `a` survived (hit), `b` was evicted (miss decodes again).
-        cache.get_or_decode(&a);
-        assert_eq!(cache.stats().hits, 2);
-        cache.get_or_decode(&b);
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one program")]
-    fn zero_capacity_is_rejected() {
-        let _ = DecodeCache::with_capacity(0);
+        assert_eq!(cache.stats(), DecodeCacheStats { hits: 0, misses: 2 });
     }
 
     #[test]
     fn stats_are_a_pure_function_of_the_program_sequence() {
+        // Only back-to-back repeats hit: 1→1, 3→3 and 2→2.
         let sequence: Vec<Program> =
-            [1, 2, 1, 3, 2, 2, 4, 1].iter().map(|&s| sample_program(s)).collect();
+            [1, 1, 2, 1, 3, 3, 2, 2, 4, 1].iter().map(|&s| sample_program(s)).collect();
         let mut first = DecodeCache::new();
         let mut second = DecodeCache::new();
         for program in &sequence {
@@ -437,8 +323,8 @@ mod tests {
             second.get_or_decode(program);
         }
         assert_eq!(first.stats(), second.stats());
-        assert_eq!(first.stats().hits, 4);
-        assert_eq!(first.stats().misses, 4);
+        assert_eq!(first.stats().hits, 3);
+        assert_eq!(first.stats().misses, 7);
     }
 
     #[test]
@@ -453,16 +339,18 @@ mod tests {
         // facts never perturbs the stats stream.
         let (_, again) = cache.get_or_decode_with_facts(&program);
         assert_eq!(again, &fresh);
-        assert_eq!(cache.stats(), DecodeCacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(cache.stats(), DecodeCacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
     fn plain_lookups_never_compute_facts() {
         let mut cache = DecodeCache::new();
-        let program = sample_program(2);
-        cache.get_or_decode(&program);
-        let key_entry = cache.entries.values().next().expect("one entry");
-        assert!(key_entry.facts.is_none(), "point-coverage lookups must not pay for analysis");
+        cache.get_or_decode(&sample_program(2));
+        assert!(cache.facts.is_none(), "point-coverage lookups must not pay for analysis");
+        // A miss drops the previous image's facts instead of keeping them.
+        cache.get_or_decode_with_facts(&sample_program(2));
+        cache.get_or_decode(&sample_program(3));
+        assert!(cache.facts.is_none(), "a miss must not keep stale facts");
     }
 
     proptest! {
@@ -478,6 +366,38 @@ mod tests {
             let second = cache.get_or_decode_with_facts(&program).1.clone(); // hit path
             prop_assert_eq!(&first, &second);
             prop_assert_eq!(&first, &ProgramFacts::analyze(&program.text_bytes()));
+        }
+
+        /// One memo fed a sequence of arbitrary images — each one twice
+        /// (the hit path), then its first half (a shorter image right after
+        /// a longer one), then the empty image — always returns exactly a
+        /// fresh decode and a fresh analysis: in-place reuse leaves no stale
+        /// slots and no stale facts behind.
+        #[test]
+        fn memo_reuse_matches_fresh_decode_and_analysis(
+            images in proptest::collection::vec(
+                proptest::collection::vec(any::<u32>(), 0..24),
+                1..6,
+            )
+        ) {
+            let mut sequence = Vec::new();
+            for words in &images {
+                let half = words[..words.len() / 2].to_vec();
+                sequence.extend([words.clone(), words.clone(), half, Vec::new()]);
+            }
+            let mut cache = DecodeCache::new();
+            for (step, words) in sequence.iter().enumerate() {
+                let text: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                let (program, _) = Program::from_text_bytes(&text);
+                let fresh_facts = ProgramFacts::analyze(&program.text_bytes());
+                // Alternate which lookup meets the image first.
+                if step % 2 == 0 {
+                    prop_assert_eq!(cache.get_or_decode_with_facts(&program).1, &fresh_facts);
+                }
+                let fresh_image = DecodedProgram::from_program(&program);
+                prop_assert_eq!(cache.get_or_decode(&program), &fresh_image);
+                prop_assert_eq!(cache.get_or_decode_with_facts(&program).1, &fresh_facts);
+            }
         }
 
         /// For arbitrary word images (legal or not), `DecodedProgram::fetch`

@@ -520,8 +520,8 @@ impl GoldenScratch {
     ///
     /// The policy is a scratch property, not a simulator property, because it
     /// describes how *this* scratch's buffers are recycled; the environment
-    /// switch lives one level up in `fuzzer::ExecScratch`, mirroring the
-    /// decode cache.
+    /// switch lives one level up in `fuzzer::ExecScratch`, beside the decode
+    /// cache's `MABFUZZ_DECODE_CACHE` switch.
     pub fn new() -> GoldenScratch {
         GoldenScratch::default()
     }

@@ -175,8 +175,8 @@ impl Memory {
     ///
     /// Only the `Data` region is writable (first *and* last byte of the
     /// access must fall inside it), so program text can never be modified by
-    /// an executing store — the invariant [`fetch`](Memory::fetch) and the
-    /// decode cache build on.
+    /// an executing store — the invariant [`fetch`](Memory::fetch) and
+    /// pre-decoded execution build on.
     pub fn can_store(&self, addr: u64, width: u64) -> bool {
         let last = addr.wrapping_add(width.saturating_sub(1));
         self.region_of(addr) == Region::Data && self.region_of(last) == Region::Data

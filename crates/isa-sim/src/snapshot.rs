@@ -39,7 +39,7 @@
 //! and end-to-end by `tests/snapshot_reset_equivalence.rs` comparing whole
 //! campaign reports. The full-reinit path stays alive as the differential
 //! oracle (`MABFUZZ_SNAPSHOT_RESET=off`), exactly like the interpreted fetch
-//! path does for the decode cache.
+//! path does for pre-decoded execution (`MABFUZZ_DECODE_CACHE=off`).
 //!
 //! # Determinism
 //!
@@ -48,8 +48,9 @@
 //! same architectural state, so traces, coverage and every downstream
 //! campaign artefact are byte-identical. The shard determinism contract in
 //! `fuzzer::shard` extends to this path for the same reason the decode cache
-//! satisfies it — the tracker is private to its worker's scratch and holds no
-//! cross-test information that could leak into outcomes.
+//! satisfies it — the tracker is private to its worker's scratch, and the
+//! only thing it carries from one test to the next (what to restore) cannot
+//! leak into outcomes.
 
 use serde::{Deserialize, Serialize};
 

@@ -179,7 +179,7 @@ pub trait Processor: Send + Sync {
     /// from a pre-decoded text image instead of decoding each word per step.
     ///
     /// `decoded` must be the image of `program`'s current text (a
-    /// `DecodeCache` guarantees the pairing). Results are bit-identical to
+    /// `DecodeCache` lookup of `program` guarantees the pairing). Results are bit-identical to
     /// [`run_into`](Processor::run_into) — the built-in cores override this
     /// to skip per-step decoding, while the default implementation simply
     /// falls back to the interpreted path, so foreign `Processor`
