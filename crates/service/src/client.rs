@@ -19,7 +19,7 @@ use std::time::Duration;
 use mabfuzz::json_value;
 
 use crate::http::{
-    read_response_head, read_sized_body, stream_chunked_body, ResponseHead,
+    read_response_head, read_sized_body, stream_chunked_body, write_request, ResponseHead,
 };
 use crate::transport::{Connection, TcpTransport, Transport};
 
@@ -245,18 +245,7 @@ impl Client {
         body: &str,
     ) -> io::Result<(Pooled, ResponseHead)> {
         conn.get_mut().begin_request();
-        let auth = match &self.auth_token {
-            Some(token) => format!("Authorization: Bearer {token}\r\n"),
-            None => String::new(),
-        };
-        write!(
-            conn.get_mut(),
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\n{auth}Content-Length: {}\r\n\r\n",
-            self.addr,
-            body.len()
-        )?;
-        conn.get_mut().write_all(body.as_bytes())?;
-        conn.get_mut().flush()?;
+        write_request(conn.get_mut(), method, path, self.addr, self.auth_token.as_deref(), body)?;
         let head = read_response_head(&mut conn)?;
         Ok((conn, head))
     }

@@ -7,14 +7,16 @@
 //! for the live event streams. Either side may end the conversation with a
 //! `Connection: close` header; protocol errors always close. Both the server
 //! and the [`Client`](crate::Client) speak through these helpers, so the two
-//! ends of the protocol cannot drift apart.
+//! ends of the protocol cannot drift apart. Every message goes to the
+//! socket in one `write_all` of one buffer.
 //!
-//! Because connections are reused, request framing is strict: a request
-//! carrying `Transfer-Encoding`, or duplicate/conflicting `Content-Length`
-//! headers, is rejected outright — ambiguous framing on a reused connection
-//! is the classic request-smuggling shape, so it is a loud 400, never a
-//! guess.
+//! Because connections are reused, framing is strict: a request carrying
+//! `Transfer-Encoding`, or a request or response with duplicate/conflicting
+//! `Content-Length` headers, is rejected outright — ambiguous framing on a
+//! reused connection is the classic request-smuggling shape, so it is a
+//! loud 400 (or a client-side protocol error), never a guess.
 
+use std::fmt;
 use std::io::{self, BufRead, Write};
 
 pub(crate) use mabfuzz::report::json_string;
@@ -39,7 +41,9 @@ const MAX_CHUNK_BYTES: usize = 4 << 20;
 const MAX_LINE_BYTES: u64 = 8 * 1024;
 
 /// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`] bytes.
-/// `Ok(None)` is a clean EOF before any byte; an overlong line is an error.
+/// `Ok(None)` is a clean EOF before any byte; an overlong line is an error,
+/// and so is a line that EOF cuts short (a `\r` without its `\n` must not
+/// pass for the blank line that ends a message).
 fn read_line_capped<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
     let mut line = String::new();
     // UFCS pins `Self = &mut R` so `take` borrows the reader instead of
@@ -48,10 +52,13 @@ fn read_line_capped<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
     if read == 0 {
         return Ok(None);
     }
-    if !line.ends_with('\n') && read as u64 == MAX_LINE_BYTES {
-        return Err(protocol_error(format!(
-            "protocol line exceeds the {MAX_LINE_BYTES}-byte limit"
-        )));
+    if !line.ends_with('\n') {
+        if read as u64 == MAX_LINE_BYTES {
+            return Err(protocol_error(format!(
+                "protocol line exceeds the {MAX_LINE_BYTES}-byte limit"
+            )));
+        }
+        return Err(protocol_error("connection closed inside a protocol line"));
     }
     Ok(Some(line))
 }
@@ -105,30 +112,15 @@ pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Requ
     // if the two ends ever disagreed about where a request body ends, every
     // later request on the connection would be parsed out of attacker-chosen
     // bytes. The protocol never uses chunked *requests*, so any
-    // `Transfer-Encoding` is rejected, as are duplicate or conflicting
-    // `Content-Length` headers — loudly, not by picking one.
+    // `Transfer-Encoding` is rejected, and [`content_length`] rejects
+    // duplicate or conflicting `Content-Length` headers — loudly, not by
+    // picking one.
     if header_value(&headers, "transfer-encoding").is_some() {
         return Err(protocol_error(
             "requests must use Content-Length framing; Transfer-Encoding is not accepted",
         ));
     }
-    let mut content_length: Option<usize> = None;
-    for (name, value) in &headers {
-        if name != "content-length" {
-            continue;
-        }
-        let parsed = value
-            .parse::<usize>()
-            .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))?;
-        if content_length.is_some_and(|seen| seen != parsed) {
-            return Err(protocol_error("conflicting Content-Length headers"));
-        }
-        if content_length.is_some() {
-            return Err(protocol_error("duplicate Content-Length headers"));
-        }
-        content_length = Some(parsed);
-    }
-    let content_length = content_length.unwrap_or(0);
+    let content_length = content_length(&headers)?.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(protocol_error(format!(
             "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
@@ -166,6 +158,29 @@ fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a s
     headers.iter().find(|(key, _)| key == name).map(|(_, value)| value.as_str())
 }
 
+/// The body length a message's `Content-Length` header declares (`None`
+/// when absent). Requests and responses both frame through this one check:
+/// a duplicate header is rejected even when the values agree, and
+/// conflicting values are rejected rather than resolved, because two
+/// parsers that fold them differently disagree about where the next
+/// message starts.
+fn content_length(headers: &[(String, String)]) -> io::Result<Option<usize>> {
+    let mut length = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        let parsed = value
+            .parse::<usize>()
+            .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))?;
+        match length {
+            Some(seen) if seen != parsed => {
+                return Err(protocol_error("conflicting Content-Length headers"));
+            }
+            Some(_) => return Err(protocol_error("duplicate Content-Length headers")),
+            None => length = Some(parsed),
+        }
+    }
+    Ok(length)
+}
+
 /// The reason phrase of the status codes the service emits.
 pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
@@ -190,63 +205,108 @@ fn connection_header(close: bool) -> &'static str {
     }
 }
 
-/// Writes a complete JSON response (`Content-Length` framing). `close`
-/// announces that the server will close the connection after this response;
-/// otherwise the connection stays open for the next request.
-pub(crate) fn respond_json(
+/// Writes one request with `Content-Length` framing and, when `bearer` is
+/// set, an `Authorization: Bearer` header. Head and body leave in one
+/// `write_all` of one buffer (see "Wire writes" in the crate docs).
+pub(crate) fn write_request(
     writer: &mut impl Write,
-    status: u16,
+    method: &str,
+    path: &str,
+    host: impl fmt::Display,
+    bearer: Option<&str>,
     body: &str,
-    close: bool,
 ) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
-         Connection: {}\r\n\r\n",
-        status_text(status),
-        body.len(),
-        connection_header(close)
-    )?;
-    writer.write_all(body.as_bytes())?;
+    let mut message = Vec::with_capacity(128 + body.len());
+    write!(message, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n")?;
+    if let Some(token) = bearer {
+        write!(message, "Authorization: Bearer {token}\r\n")?;
+    }
+    write!(message, "Content-Length: {}\r\n\r\n", body.len())?;
+    message.extend_from_slice(body.as_bytes());
+    writer.write_all(&message)?;
     writer.flush()
 }
 
-/// Writes an error response whose body is `{"error":"<message>"}`.
-pub(crate) fn respond_error(
-    writer: &mut impl Write,
-    status: u16,
-    message: &str,
-    close: bool,
-) -> io::Result<()> {
-    respond_json(writer, status, &format!("{{\"error\":{}}}", json_string(message)), close)
+/// The server half of one connection. Each helper stages one whole wire
+/// message (a sized response, a chunked-stream head, one chunk with its
+/// size line and CRLF, or the terminator) in a buffer that the connection
+/// reuses, then hands it to the socket in one `write_all`. With
+/// `TCP_NODELAY` on, a message leaves as one burst instead of a run of tiny
+/// segments (see "Wire writes" in the crate docs).
+pub(crate) struct ResponseWriter<W> {
+    inner: W,
+    message: Vec<u8>,
 }
 
-/// Starts a chunked NDJSON response; follow with [`write_chunk`] per payload
-/// and one [`finish_chunked`]. Chunked framing is self-terminating, so the
-/// connection survives the stream unless `close` is set.
-pub(crate) fn start_chunked(writer: &mut impl Write, close: bool) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-        connection_header(close)
-    )?;
-    writer.flush()
-}
+impl<W: Write> ResponseWriter<W> {
+    pub(crate) fn new(inner: W) -> ResponseWriter<W> {
+        ResponseWriter { inner, message: Vec::new() }
+    }
 
-/// Writes one non-empty chunk (an empty chunk would terminate the stream).
-pub(crate) fn write_chunk(writer: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
-    debug_assert!(!bytes.is_empty(), "an empty chunk is the terminator");
-    write!(writer, "{:x}\r\n", bytes.len())?;
-    writer.write_all(bytes)?;
-    writer.write_all(b"\r\n")?;
-    writer.flush()
-}
+    /// Writes a complete JSON response (`Content-Length` framing). `close`
+    /// announces that the server will close the connection after this
+    /// response; otherwise the connection stays open for the next request.
+    pub(crate) fn respond_json(&mut self, status: u16, body: &str, close: bool) -> io::Result<()> {
+        write!(
+            self.message,
+            "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: {}\r\n\r\n",
+            status_text(status),
+            body.len(),
+            connection_header(close)
+        )?;
+        self.message.extend_from_slice(body.as_bytes());
+        self.send()
+    }
 
-/// Writes the terminating zero-length chunk.
-pub(crate) fn finish_chunked(writer: &mut impl Write) -> io::Result<()> {
-    writer.write_all(b"0\r\n\r\n")?;
-    writer.flush()
+    /// Writes an error response whose body is `{"error":"<message>"}`.
+    pub(crate) fn respond_error(
+        &mut self,
+        status: u16,
+        message: &str,
+        close: bool,
+    ) -> io::Result<()> {
+        self.respond_json(status, &format!("{{\"error\":{}}}", json_string(message)), close)
+    }
+
+    /// Starts a chunked NDJSON response; follow with
+    /// [`write_chunk`](Self::write_chunk) per payload and one
+    /// [`finish_chunked`](Self::finish_chunked). Chunked framing is
+    /// self-terminating, so the connection survives the stream unless
+    /// `close` is set.
+    pub(crate) fn start_chunked(&mut self, close: bool) -> io::Result<()> {
+        write!(
+            self.message,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+            connection_header(close)
+        )?;
+        self.send()
+    }
+
+    /// Writes one non-empty chunk (an empty chunk would terminate the
+    /// stream).
+    pub(crate) fn write_chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
+        debug_assert!(!bytes.is_empty(), "an empty chunk is the terminator");
+        write!(self.message, "{:x}\r\n", bytes.len())?;
+        self.message.extend_from_slice(bytes);
+        self.message.extend_from_slice(b"\r\n");
+        self.send()
+    }
+
+    /// Writes the terminating zero-length chunk.
+    pub(crate) fn finish_chunked(&mut self) -> io::Result<()> {
+        self.message.extend_from_slice(b"0\r\n\r\n");
+        self.send()
+    }
+
+    /// Hands the staged message to the socket and empties the buffer,
+    /// keeping its capacity for the next message.
+    fn send(&mut self) -> io::Result<()> {
+        let sent = self.inner.write_all(&self.message).and_then(|()| self.inner.flush());
+        self.message.clear();
+        sent
+    }
 }
 
 /// The parsed status line and framing headers of a response.
@@ -284,13 +344,7 @@ pub(crate) fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<Respo
     let headers = read_headers(reader)?;
     let chunked = header_value(&headers, "transfer-encoding")
         .is_some_and(|value| value.eq_ignore_ascii_case("chunked"));
-    let content_length = header_value(&headers, "content-length")
-        .map(|value| {
-            value
-                .parse::<usize>()
-                .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))
-        })
-        .transpose()?;
+    let content_length = content_length(&headers)?;
     let close = header_value(&headers, "connection").is_some_and(wants_close);
     Ok(ResponseHead { status, chunked, content_length, close })
 }
@@ -336,8 +390,10 @@ pub(crate) fn stream_chunked_body<R: BufRead>(
         }
         if size == 0 {
             // Trailer section: header lines (none in practice) up to the
-            // final blank line; tolerated but ignored.
-            let _ = read_headers(reader);
+            // final blank line. Their content is ignored, but a stream cut
+            // inside it or a malformed line is an error: the connection's
+            // framing position is then unknown, so it must not be reused.
+            read_headers(reader)?;
             return Ok(total);
         }
         chunk.resize(size, 0);
@@ -451,7 +507,7 @@ mod tests {
     #[test]
     fn responses_round_trip_sized_bodies() {
         let mut wire = Vec::new();
-        respond_json(&mut wire, 201, "{\"id\":7}", false).unwrap();
+        ResponseWriter::new(&mut wire).respond_json(201, "{\"id\":7}", false).unwrap();
         let mut reader = BufReader::new(Cursor::new(wire));
         let head = read_response_head(&mut reader).unwrap();
         assert_eq!(head.status, 201);
@@ -463,7 +519,7 @@ mod tests {
     #[test]
     fn closing_responses_announce_connection_close() {
         let mut wire = Vec::new();
-        respond_json(&mut wire, 200, "{}", true).unwrap();
+        ResponseWriter::new(&mut wire).respond_json(200, "{}", true).unwrap();
         let text = String::from_utf8(wire.clone()).unwrap();
         assert!(text.contains("Connection: close"), "{text}");
         let head = read_response_head(&mut BufReader::new(Cursor::new(wire))).unwrap();
@@ -473,10 +529,11 @@ mod tests {
     #[test]
     fn chunked_streams_round_trip_byte_identically() {
         let mut wire = Vec::new();
-        start_chunked(&mut wire, false).unwrap();
-        write_chunk(&mut wire, b"{\"event\":\"a\"}\n").unwrap();
-        write_chunk(&mut wire, b"{\"event\":\"b\"}\n{\"event\":\"c\"}\n").unwrap();
-        finish_chunked(&mut wire).unwrap();
+        let mut writer = ResponseWriter::new(&mut wire);
+        writer.start_chunked(false).unwrap();
+        writer.write_chunk(b"{\"event\":\"a\"}\n").unwrap();
+        writer.write_chunk(b"{\"event\":\"b\"}\n{\"event\":\"c\"}\n").unwrap();
+        writer.finish_chunked().unwrap();
         let mut reader = BufReader::new(Cursor::new(wire));
         let head = read_response_head(&mut reader).unwrap();
         assert!(head.chunked);
@@ -489,8 +546,254 @@ mod tests {
     #[test]
     fn error_bodies_escape_their_message() {
         let mut wire = Vec::new();
-        respond_error(&mut wire, 400, "bad \"spec\"", true).unwrap();
+        ResponseWriter::new(&mut wire).respond_error(400, "bad \"spec\"", true).unwrap();
         let text = String::from_utf8(wire).unwrap();
         assert!(text.contains("{\"error\":\"bad \\\"spec\\\"\"}"), "{text}");
+    }
+
+    #[test]
+    fn responses_with_duplicate_or_conflicting_lengths_are_rejected() {
+        // The response side frames through the same strict check as
+        // requests: no first-one-wins.
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}";
+        let error = read_response_head(&mut BufReader::new(Cursor::new(&raw[..])))
+            .expect_err("conflicting lengths rejected");
+        assert!(error.to_string().contains("conflicting Content-Length"), "{error}");
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        let error = read_response_head(&mut BufReader::new(Cursor::new(&raw[..])))
+            .expect_err("duplicate lengths rejected");
+        assert!(error.to_string().contains("duplicate Content-Length"), "{error}");
+    }
+
+    #[test]
+    fn truncated_or_malformed_trailers_are_errors() {
+        // Cut right after the zero-size line: the blank line that ends the
+        // trailer section never arrived.
+        let mut reader = BufReader::new(Cursor::new(&b"3\r\nabc\r\n0\r\n"[..]));
+        let error = stream_chunked_body(&mut reader, &mut Vec::new()).expect_err("truncated");
+        assert!(error.to_string().contains("header block"), "{error}");
+
+        let raw = b"3\r\nabc\r\n0\r\nnot a header\r\n\r\n";
+        let mut reader = BufReader::new(Cursor::new(&raw[..]));
+        let error = stream_chunked_body(&mut reader, &mut Vec::new()).expect_err("malformed");
+        assert!(error.to_string().contains("malformed header"), "{error}");
+
+        // A well-formed trailer is still read past and ignored.
+        let raw = b"3\r\nabc\r\n0\r\nX-Checksum: 1\r\n\r\n";
+        let mut decoded = Vec::new();
+        let total = stream_chunked_body(&mut BufReader::new(Cursor::new(&raw[..])), &mut decoded)
+            .expect("trailer accepted");
+        assert_eq!((total, decoded.as_slice()), (3, &b"abc"[..]));
+    }
+
+    /// A `Write` that counts `write` calls, to pin how many pieces each
+    /// message reaches the socket in.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_message_is_one_write() {
+        // Bigger than a `BufWriter`'s default buffer, which would pass a
+        // payload this size through as a write of its own.
+        let big = "x".repeat(100 * 1024);
+        let mut writer = ResponseWriter::new(CountingWrite::default());
+        let mut sent = 0;
+        let mut one_write = |writer: &ResponseWriter<CountingWrite>, what: &str| {
+            sent += 1;
+            assert_eq!(writer.inner.writes, sent, "{what} must be exactly one write");
+        };
+        writer.respond_json(201, "{\"id\":7}", false).unwrap();
+        one_write(&writer, "a small JSON response");
+        writer.respond_json(200, &big, false).unwrap();
+        one_write(&writer, "a large JSON response");
+        writer.respond_error(409, "busy", true).unwrap();
+        one_write(&writer, "an error response");
+        writer.start_chunked(false).unwrap();
+        one_write(&writer, "the chunked head");
+        writer.write_chunk(b"{\"event\":\"a\"}\n").unwrap();
+        one_write(&writer, "a small chunk");
+        writer.write_chunk(big.as_bytes()).unwrap();
+        one_write(&writer, "a large chunk");
+        writer.finish_chunked().unwrap();
+        one_write(&writer, "the terminator");
+
+        // One write per message changes no byte of the framing.
+        let wire = writer.inner.bytes;
+        let head = b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\n\
+                     Content-Length: 8\r\nConnection: keep-alive\r\n\r\n{\"id\":7}";
+        assert!(wire.starts_with(head));
+        let tail = format!("19000\r\n{big}\r\n0\r\n\r\n");
+        assert!(wire.ends_with(tail.as_bytes()));
+    }
+
+    #[test]
+    fn a_request_is_one_write_and_reads_back() {
+        let mut wire = CountingWrite::default();
+        write_request(&mut wire, "POST", "/campaigns", "127.0.0.1:9", Some("tok"), "{\"a\":1}")
+            .unwrap();
+        assert_eq!(wire.writes, 1, "head and body leave together");
+        assert_eq!(
+            wire.bytes,
+            b"POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1:9\r\nAuthorization: Bearer tok\r\n\
+              Content-Length: 7\r\n\r\n{\"a\":1}"
+        );
+        let request = read_request(&mut BufReader::new(Cursor::new(wire.bytes)))
+            .unwrap()
+            .expect("a full request");
+        assert_eq!(request.authorization.as_deref(), Some("Bearer tok"));
+        assert_eq!(request.body, b"{\"a\":1}");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Reads one response the way the client does: the head, then the
+        /// chunked or the sized body.
+        fn read_response(wire: &[u8]) -> io::Result<(ResponseHead, Vec<u8>)> {
+            let mut reader = BufReader::new(Cursor::new(wire));
+            let head = read_response_head(&mut reader)?;
+            let body = if head.chunked {
+                let mut body = Vec::new();
+                stream_chunked_body(&mut reader, &mut body)?;
+                body
+            } else {
+                read_sized_body(&mut reader, &head)?
+            };
+            Ok((head, body))
+        }
+
+        /// Whether a reader's error is one damaged bytes may produce: bad
+        /// framing (`InvalidData`) or a message cut short
+        /// (`UnexpectedEof`).
+        fn is_framing_error(error: &io::Error) -> bool {
+            matches!(error.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof)
+        }
+
+        /// `wire` with each `(position, mask)` XORed in (positions wrap).
+        fn flipped(wire: &[u8], flips: &[(usize, u8)]) -> Vec<u8> {
+            let mut bytes = wire.to_vec();
+            for &(position, mask) in flips {
+                let index = position % bytes.len();
+                bytes[index] ^= mask;
+            }
+            bytes
+        }
+
+        /// Every strict prefix of a response must fail with a framing
+        /// error: a reader that returns `Ok` on a cut message would let the
+        /// client pool a socket whose framing position is wrong.
+        fn every_prefix_fails(wire: &[u8]) {
+            for cut in 0..wire.len() {
+                match read_response(&wire[..cut]) {
+                    Ok(_) => panic!("a {cut}-byte prefix of {} read back as whole", wire.len()),
+                    Err(error) => assert!(is_framing_error(&error), "cut {cut}: {error:?}"),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Any status and body written by `respond_json` read back
+            /// exactly, with nothing left over.
+            #[test]
+            fn sized_responses_read_back_exactly(
+                status in any::<u16>(),
+                body in vec(any::<u8>(), 0..200),
+                close in any::<bool>(),
+                flips in vec((any::<usize>(), 1u8..=255), 1..4),
+            ) {
+                let body = String::from_utf8_lossy(&body).into_owned();
+                let mut wire = Vec::new();
+                ResponseWriter::new(&mut wire).respond_json(status, &body, close).unwrap();
+                let (head, read) = read_response(&wire).expect("a whole response");
+                prop_assert_eq!((head.status, head.chunked, head.close), (status, false, close));
+                prop_assert_eq!(read, body.into_bytes());
+
+                every_prefix_fails(&wire);
+                if let Err(error) = read_response(&flipped(&wire, &flips)) {
+                    prop_assert!(is_framing_error(&error), "{:?}", error);
+                }
+            }
+
+            /// Any chunk sequence written by the chunked helpers de-chunks
+            /// to exactly its concatenation.
+            #[test]
+            fn chunked_streams_read_back_exactly(
+                chunks in vec(vec(any::<u8>(), 1..300), 0..5),
+                close in any::<bool>(),
+                flips in vec((any::<usize>(), 1u8..=255), 1..4),
+            ) {
+                let mut wire = Vec::new();
+                let mut writer = ResponseWriter::new(&mut wire);
+                writer.start_chunked(close).unwrap();
+                for chunk in &chunks {
+                    writer.write_chunk(chunk).unwrap();
+                }
+                writer.finish_chunked().unwrap();
+                let (head, read) = read_response(&wire).expect("a whole stream");
+                prop_assert_eq!((head.status, head.chunked, head.close), (200, true, close));
+                prop_assert_eq!(read, chunks.concat());
+
+                every_prefix_fails(&wire);
+                if let Err(error) = read_response(&flipped(&wire, &flips)) {
+                    prop_assert!(is_framing_error(&error), "{:?}", error);
+                }
+            }
+
+            /// Requests written by `write_request` read back exactly; cut
+            /// short they fail (or read as a silent close at zero bytes),
+            /// and flipped bytes never panic the server's reader.
+            #[test]
+            fn requests_read_back_exactly(
+                method in 0usize..3,
+                id in any::<u64>(),
+                bearer in any::<bool>(),
+                body in vec(any::<u8>(), 0..200),
+                flips in vec((any::<usize>(), 1u8..=255), 1..4),
+            ) {
+                let method = ["GET", "POST", "DELETE"][method];
+                let path = format!("/campaigns/{id}");
+                let body = String::from_utf8_lossy(&body).into_owned();
+                let token = bearer.then_some("t0k");
+                let mut wire = Vec::new();
+                write_request(&mut wire, method, &path, "127.0.0.1:80", token, &body).unwrap();
+                let request = read_request(&mut BufReader::new(Cursor::new(&wire)))
+                    .expect("a whole request")
+                    .expect("not a silent close");
+                prop_assert_eq!((request.method.as_str(), request.path.as_str()), (method, &*path));
+                prop_assert_eq!(request.authorization, token.map(|t| format!("Bearer {t}")));
+                prop_assert_eq!(request.body, body.into_bytes());
+
+                for cut in 0..wire.len() {
+                    match read_request(&mut BufReader::new(Cursor::new(&wire[..cut]))) {
+                        Ok(None) => prop_assert_eq!(cut, 0),
+                        Ok(Some(_)) => panic!("a {cut}-byte prefix read back as a request"),
+                        Err(error) => prop_assert!(is_framing_error(&error), "{:?}", error),
+                    }
+                }
+                let damaged = flipped(&wire, &flips);
+                if let Err(error) = read_request(&mut BufReader::new(Cursor::new(&damaged))) {
+                    prop_assert!(is_framing_error(&error), "{:?}", error);
+                }
+            }
+        }
     }
 }

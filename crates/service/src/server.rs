@@ -1,7 +1,7 @@
 //! The campaign daemon: TCP accept loop, request routing, worker pool.
 
 use std::any::Any;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -11,10 +11,7 @@ use std::time::Duration;
 use mabfuzz::report::campaign_json;
 use mabfuzz::{Campaign, CampaignSpec, EventLog, SpecError};
 
-use crate::http::{
-    finish_chunked, json_string, read_request, respond_error, respond_json, start_chunked,
-    write_chunk, Request,
-};
+use crate::http::{json_string, read_request, Request, ResponseWriter};
 use crate::hub::{Hub, SubmitOutcome};
 
 /// The campaign service daemon (what `experiments serve` runs).
@@ -222,7 +219,12 @@ impl std::fmt::Debug for CampaignServer {
 /// its event stream closes, and the worker moves on to the next job.
 fn worker_loop(hub: &Hub) {
     while let Some((id, spec, events, cancel)) = hub.next_job() {
-        let log = EventLog::new(events.clone());
+        // The log writes once per event; buffering publishes whole-line
+        // batches instead, so subscribers wake (and the stream sends a
+        // chunk) once per batch rather than once per event, however the
+        // threads happen to be scheduled. The campaign drops the log, and
+        // with it flushes the tail, before the hub closes the stream.
+        let log = EventLog::new(BufWriter::new(events.clone()));
         match Campaign::from_spec(&spec) {
             Ok(campaign) => {
                 let run = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -264,17 +266,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 /// past the I/O deadline. Returns whether any request asked the daemon to
 /// shut down.
 fn handle_connection(hub: &Hub, config: &ServerConfig, stream: TcpStream) -> bool {
-    // Socket deadlines bound both halves of every exchange: a slowloris
-    // peer times out reading the request, a stalled consumer times out on
-    // the event-stream writes, and the same read deadline doubles as the
-    // keep-alive idle timeout between requests.
-    let _ = stream.set_read_timeout(config.io_timeout);
-    let _ = stream.set_write_timeout(config.io_timeout);
+    configure_accepted(&stream, config);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return false,
     });
-    let mut writer = stream;
+    let mut writer = ResponseWriter::new(stream);
     loop {
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
@@ -287,7 +284,7 @@ fn handle_connection(hub: &Hub, config: &ServerConfig, stream: TcpStream) -> boo
                 // closes — resynchronising a stream after a framing error
                 // is exactly the request-smuggling trap.
                 if !is_disconnect(error.kind()) {
-                    let _ = respond_error(&mut writer, 400, &error.to_string(), true);
+                    let _ = writer.respond_error(400, &error.to_string(), true);
                 }
                 return false;
             }
@@ -299,8 +296,7 @@ fn handle_connection(hub: &Hub, config: &ServerConfig, stream: TcpStream) -> boo
         hub.sweep();
         let close = request.close;
         if !authorized(config, &request) {
-            if respond_error(&mut writer, 401, "missing or invalid bearer token", close).is_err()
-                || close
+            if writer.respond_error(401, "missing or invalid bearer token", close).is_err() || close
             {
                 return false;
             }
@@ -317,6 +313,21 @@ fn handle_connection(hub: &Hub, config: &ServerConfig, stream: TcpStream) -> boo
             return shutdown;
         }
     }
+}
+
+/// Sets the socket options of an accepted connection. `TCP_NODELAY` sends
+/// each response the moment it is written instead of holding it for the
+/// peer's delayed ACK (see "Wire writes" in the crate docs). Socket
+/// deadlines bound both halves of every exchange: a slowloris peer times
+/// out reading the request, a stalled consumer times out on the
+/// event-stream writes, and the same read deadline doubles as the
+/// keep-alive idle timeout between requests. A failure to set an option
+/// leaves a slower or unbounded but still working connection, so it is not
+/// fatal.
+fn configure_accepted(stream: &TcpStream, config: &ServerConfig) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(config.io_timeout);
+    let _ = stream.set_write_timeout(config.io_timeout);
 }
 
 /// Whether `request` may proceed under the server's auth policy.
@@ -352,7 +363,12 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// Routes one parsed request to its handler. `close` is announced in the
 /// response's `Connection` header (the connection closes after this
 /// exchange); otherwise the connection stays open for the next request.
-fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn route(
+    hub: &Hub,
+    request: &Request,
+    writer: &mut ResponseWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let path = request.path.as_str();
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -360,16 +376,11 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
         ("GET", ["campaigns"]) => {
             let entries: Vec<String> =
                 hub.list().iter().map(|view| view.to_json()).collect();
-            respond_json(
-                writer,
-                200,
-                &format!("{{\"campaigns\":[{}]}}", entries.join(",")),
-                close,
-            )
+            writer.respond_json(200, &format!("{{\"campaigns\":[{}]}}", entries.join(",")), close)
         }
         ("GET", ["campaigns", id]) => match parse_id(id) {
             Some(id) => match hub.view(id) {
-                Some(view) => respond_json(writer, 200, &view.to_json(), close),
+                Some(view) => writer.respond_json(200, &view.to_json(), close),
                 None => unknown_campaign(writer, id, close),
             },
             None => bad_id(writer, id, close),
@@ -380,9 +391,8 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
         },
         ("GET", ["campaigns", id, "report"]) => match parse_id(id) {
             Some(id) => match (hub.report(id), hub.view(id)) {
-                (Some(report), _) => respond_json(writer, 200, &report, close),
-                (None, Some(view)) => respond_error(
-                    writer,
+                (Some(report), _) => writer.respond_json(200, &report, close),
+                (None, Some(view)) => writer.respond_error(
                     409,
                     &format!("campaign {id} is {}; no report yet", view.status.name()),
                     close,
@@ -393,13 +403,9 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
         },
         ("POST", ["campaigns", id, "cancel"]) => match parse_id(id) {
             Some(id) => match hub.cancel(id) {
-                Some(status) => respond_json(
-                    writer,
+                Some(status) => writer.respond_json(
                     200,
-                    &format!(
-                        "{{\"id\":{id},\"status\":{}}}",
-                        json_string(status.name())
-                    ),
+                    &format!("{{\"id\":{id},\"status\":{}}}", json_string(status.name())),
                     close,
                 ),
                 None => unknown_campaign(writer, id, close),
@@ -408,14 +414,12 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
         },
         ("DELETE", ["campaigns", id]) => match parse_id(id) {
             Some(id) => match hub.remove(id) {
-                Some(Ok(())) => respond_json(
-                    writer,
+                Some(Ok(())) => writer.respond_json(
                     200,
                     &format!("{{\"id\":{id},\"status\":\"deleted\"}}"),
                     close,
                 ),
-                Some(Err(status)) => respond_error(
-                    writer,
+                Some(Err(status)) => writer.respond_error(
                     409,
                     &format!(
                         "campaign {id} is {}; cancel it or wait before deleting",
@@ -427,17 +431,14 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
             },
             None => bad_id(writer, id, close),
         },
-        ("POST", ["shutdown"]) => {
-            respond_json(writer, 200, "{\"status\":\"shutting down\"}", close)
-        }
+        ("POST", ["shutdown"]) => writer.respond_json(200, "{\"status\":\"shutting down\"}", close),
         ("GET", ["healthz"]) => {
             let stats = hub.queue_stats();
             let capacity = match stats.capacity {
                 Some(capacity) => capacity.to_string(),
                 None => "null".to_owned(),
             };
-            respond_json(
-                writer,
+            writer.respond_json(
                 200,
                 &format!(
                     "{{\"status\":\"ok\",\"campaigns\":{},\"queued\":{},\"running\":{},\
@@ -448,44 +449,45 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
             )
         }
         ("GET" | "POST" | "DELETE", _) => {
-            respond_error(writer, 404, &format!("no route for `{path}`"), close)
+            writer.respond_error(404, &format!("no route for `{path}`"), close)
         }
         (method, _) => {
-            respond_error(writer, 405, &format!("method `{method}` not supported"), close)
+            writer.respond_error(405, &format!("method `{method}` not supported"), close)
         }
     }
 }
 
 /// `POST /campaigns`: parse + validate the spec body strictly, queue it.
-fn submit(hub: &Hub, body: &[u8], writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn submit(
+    hub: &Hub,
+    body: &[u8],
+    writer: &mut ResponseWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
-        Err(_) => return respond_error(writer, 400, "request body is not UTF-8", close),
+        Err(_) => return writer.respond_error(400, "request body is not UTF-8", close),
     };
     // The strict spec codec is the single gatekeeper: unknown fields,
     // unknown policies and invalid parameters all fail here with the same
     // `SpecError` text the CLI prints.
     let spec = match CampaignSpec::from_json(text) {
         Ok(spec) => spec,
-        Err(error) => return respond_error(writer, 400, &error.to_string(), close),
+        Err(error) => return writer.respond_error(400, &error.to_string(), close),
     };
     if spec.processor.is_none() {
-        return respond_error(writer, 400, &SpecError::MissingProcessor.to_string(), close);
+        return writer.respond_error(400, &SpecError::MissingProcessor.to_string(), close);
     }
     match hub.submit(spec) {
-        SubmitOutcome::Queued(id) => respond_json(
-            writer,
-            201,
-            &format!("{{\"id\":{id},\"status\":\"queued\"}}"),
-            close,
-        ),
+        SubmitOutcome::Queued(id) => {
+            writer.respond_json(201, &format!("{{\"id\":{id},\"status\":\"queued\"}}"), close)
+        }
         SubmitOutcome::ShuttingDown => {
-            respond_error(writer, 409, "the server is shutting down", close)
+            writer.respond_error(409, "the server is shutting down", close)
         }
         // 429 is the transient refusal: the queue is at its configured
         // bound. Clients back off and retry the identical submission.
-        SubmitOutcome::QueueFull { capacity } => respond_error(
-            writer,
+        SubmitOutcome::QueueFull { capacity } => writer.respond_error(
             429,
             &format!("job queue is at its capacity of {capacity}; retry after backoff"),
             close,
@@ -497,11 +499,16 @@ fn submit(hub: &Hub, body: &[u8], writer: &mut TcpStream, close: bool) -> io::Re
 /// the stream and followed live until the campaign's broadcast closes. The
 /// payload bytes are exactly the campaign's `EventLog` stream; chunked
 /// framing is self-terminating, so the connection survives the stream.
-fn stream_events(hub: &Hub, id: u64, writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn stream_events(
+    hub: &Hub,
+    id: u64,
+    writer: &mut ResponseWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let Some(events) = hub.events(id) else {
         return unknown_campaign(writer, id, close);
     };
-    start_chunked(writer, close)?;
+    writer.start_chunked(close)?;
     let mut offset = 0usize;
     while let Some(bytes) = events.wait_from(offset) {
         offset += bytes.len();
@@ -509,27 +516,32 @@ fn stream_events(hub: &Hub, id: u64, writer: &mut TcpStream, close: bool) -> io:
         // split it so no single chunk exceeds what clients are willing to
         // buffer (see `MAX_CHUNK_BYTES` in the wire layer).
         for piece in bytes.chunks(64 * 1024) {
-            write_chunk(writer, piece)?;
+            writer.write_chunk(piece)?;
         }
     }
-    finish_chunked(writer)
+    writer.finish_chunked()
 }
 
 fn parse_id(text: &str) -> Option<u64> {
     text.parse().ok()
 }
 
-fn unknown_campaign(writer: &mut TcpStream, id: u64, close: bool) -> io::Result<()> {
-    respond_error(writer, 404, &format!("unknown campaign id {id}"), close)
+fn unknown_campaign(
+    writer: &mut ResponseWriter<TcpStream>,
+    id: u64,
+    close: bool,
+) -> io::Result<()> {
+    writer.respond_error(404, &format!("unknown campaign id {id}"), close)
 }
 
-fn bad_id(writer: &mut TcpStream, id: &str, close: bool) -> io::Result<()> {
-    respond_error(writer, 400, &format!("malformed campaign id `{id}`"), close)
+fn bad_id(writer: &mut ResponseWriter<TcpStream>, id: &str, close: bool) -> io::Result<()> {
+    writer.respond_error(400, &format!("malformed campaign id `{id}`"), close)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TcpTransport;
 
     fn request(method: &str, path: &str, authorization: Option<&str>) -> Request {
         Request {
@@ -538,6 +550,60 @@ mod tests {
             body: Vec::new(),
             authorization: authorization.map(str::to_owned),
             close: false,
+        }
+    }
+
+    #[test]
+    fn accepted_and_dialled_sockets_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+        let addr = listener.local_addr().unwrap();
+        let dialled = TcpTransport::default().dial(addr).expect("dial");
+        let bounded = TcpTransport::with_deadlines(Some(Duration::from_secs(5)))
+            .dial(addr)
+            .expect("dial with deadlines");
+        let (accepted, _) = listener.accept().expect("accept");
+        configure_accepted(&accepted, &ServerConfig { io_timeout: None, auth_token: None });
+        assert!(dialled.nodelay().unwrap(), "a dialled socket sends without waiting for ACKs");
+        assert!(bounded.nodelay().unwrap(), "so does one with deadlines");
+        assert!(accepted.nodelay().unwrap(), "an accepted socket sends without waiting too");
+    }
+
+    #[test]
+    fn workers_publish_events_in_whole_line_batches() {
+        let spec = CampaignSpec::builder()
+            .max_tests(200)
+            .rng_seed(3)
+            .processor(proc_sim::ProcessorKind::Rocket, mabfuzz::BugSpec::None)
+            .build()
+            .expect("valid spec");
+        let hub = Hub::new();
+        let SubmitOutcome::Queued(id) = hub.submit(spec) else {
+            panic!("an open hub queues the campaign");
+        };
+        let events = hub.events(id).expect("a queued campaign has a stream");
+        // The worker drains the queued campaign and returns.
+        hub.begin_shutdown();
+        let subscriber = thread::spawn(move || {
+            let mut batches = Vec::new();
+            let mut offset = 0;
+            while let Some(bytes) = events.wait_from(offset) {
+                offset += bytes.len();
+                batches.push(bytes);
+            }
+            batches
+        });
+        worker_loop(&hub);
+        let batches = subscriber.join().expect("subscriber thread");
+
+        assert!(batches.iter().all(|batch| batch.ends_with(b"\n")), "batches hold whole lines");
+        let (_, full) = batches.split_last().expect("the campaign published events");
+        assert!(!full.is_empty(), "a 200-test stream fills more than one batch");
+        for batch in full {
+            assert!(
+                batch.len() >= 4096,
+                "a subscriber wakes per batch, not per event (woke for {} bytes)",
+                batch.len()
+            );
         }
     }
 

@@ -5,8 +5,9 @@
 //! coordinator needs:
 //!
 //! * **deadlines** — [`TcpTransport`] applies connect/read/write timeouts to
-//!   every socket it hands out, so a dead worker turns into a bounded
-//!   `TimedOut` error instead of an indefinite hang;
+//!   every socket it hands out (and sets `TCP_NODELAY` on it), so a dead
+//!   worker turns into a bounded `TimedOut` error instead of an indefinite
+//!   hang;
 //! * **fault injection** — [`FaultyTransport`] wraps any inner transport and
 //!   injects a scheduled [`Fault`] (connection refusal, mid-stream drop,
 //!   stall, short write, garbage bytes) into chosen connections or requests,
@@ -49,7 +50,8 @@ pub trait Transport: Send + Sync {
     fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>>;
 }
 
-/// The real TCP transport, with optional per-socket deadlines.
+/// The real TCP transport: `TCP_NODELAY` on every socket, plus optional
+/// per-socket deadlines.
 ///
 /// `Default` applies no deadlines (the legacy client behaviour); dispatch
 /// builds one with [`with_deadlines`](TcpTransport::with_deadlines) so every
@@ -67,17 +69,26 @@ impl TcpTransport {
     pub fn with_deadlines(timeout: Option<Duration>) -> TcpTransport {
         TcpTransport { connect_timeout: timeout, read_timeout: timeout, write_timeout: timeout }
     }
-}
 
-impl Transport for TcpTransport {
-    fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>> {
+    /// Dials `addr` and configures the socket: the deadlines, and
+    /// `TCP_NODELAY` so each request leaves the moment it is written rather
+    /// than waiting for the peer's delayed ACK (see "Wire writes" in the
+    /// crate docs).
+    pub(crate) fn dial(&self, addr: SocketAddr) -> io::Result<TcpStream> {
         let stream = match self.connect_timeout {
             Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
             None => TcpStream::connect(addr)?,
         };
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(self.read_timeout)?;
         stream.set_write_timeout(self.write_timeout)?;
-        Ok(Box::new(stream))
+        Ok(stream)
+    }
+}
+
+impl Transport for TcpTransport {
+    fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>> {
+        Ok(Box::new(self.dial(addr)?))
     }
 }
 

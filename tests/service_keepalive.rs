@@ -4,13 +4,15 @@
 //! coordinator backs off and retries without consuming attempts, and the
 //! streaming merge's memory caps turn hostile streams into loud errors.
 
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mabfuzz_service::{
-    CampaignServer, Client, ClientError, Coordinator, DispatchError, Fault, FaultyTransport,
-    RetryPolicy, TcpTransport, MAX_EVENT_LINE_BYTES,
+    CampaignServer, Client, ClientError, Connection, Coordinator, DispatchError, Fault,
+    FaultyTransport, RetryPolicy, TcpTransport, Transport, MAX_EVENT_LINE_BYTES,
 };
 use mabfuzz_suite::mabfuzz::report::campaign_json;
 use mabfuzz_suite::mabfuzz::{BugSpec, Campaign, CampaignSpec, CampaignSummary};
@@ -65,6 +67,135 @@ fn sequential_requests_share_one_connection() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("thread").expect("clean shutdown");
+}
+
+/// A transport that records how many `write` calls the client makes for
+/// each request: the probe for "one write per request".
+struct CountingTransport {
+    writes_per_request: Arc<Mutex<Vec<usize>>>,
+}
+
+struct CountingConnection {
+    inner: Box<dyn Connection>,
+    writes_per_request: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Transport for CountingTransport {
+    fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>> {
+        Ok(Box::new(CountingConnection {
+            inner: TcpTransport::default().connect(addr)?,
+            writes_per_request: Arc::clone(&self.writes_per_request),
+        }))
+    }
+}
+
+impl Connection for CountingConnection {
+    fn begin_request(&mut self) {
+        self.writes_per_request.lock().unwrap().push(0);
+    }
+}
+
+impl Read for CountingConnection {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for CountingConnection {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        *self.writes_per_request.lock().unwrap().last_mut().expect("a request has begun") += 1;
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn every_request_leaves_the_client_in_one_write() {
+    let server = CampaignServer::bind("127.0.0.1:0", 1)
+        .expect("bind")
+        .with_auth_token(Some("tok".to_owned()));
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.serve());
+
+    let writes_per_request = Arc::new(Mutex::new(Vec::new()));
+    let transport =
+        Arc::new(CountingTransport { writes_per_request: Arc::clone(&writes_per_request) });
+    let client = Client::new(addr).with_transport(transport).with_auth_token("tok");
+
+    // Bodiless requests and a spec-carrying submit, with the auth header.
+    client.healthz().expect("healthz");
+    let id = client.submit(&tiny_spec(13).to_json()).expect("submit");
+    client.events(id).expect("events");
+    client.status(id).expect("status");
+    client.report(id).expect("report");
+    client.delete(id).expect("delete");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("thread").expect("clean shutdown");
+
+    assert_eq!(
+        *writes_per_request.lock().unwrap(),
+        vec![1; 7],
+        "each request's head and body must reach the socket in a single write"
+    );
+}
+
+/// A stand-in server: its `n`-th connection answers one request with a
+/// chunked `abc` body whose trailer section is `endings[n].0`, then either
+/// closes (`endings[n].1`) or waits for the client to hang up.
+fn chunked_stub(endings: Vec<(&'static [u8], bool)>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        for (ending, close) in endings {
+            let Ok((mut stream, _)) = listener.accept() else { return };
+            thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut line = String::new();
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line != "\r\n" {
+                    line.clear();
+                }
+                let mut response =
+                    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n"
+                        .to_vec();
+                response.extend_from_slice(ending);
+                let _ = stream.write_all(&response);
+                if !close {
+                    let _ = io::copy(&mut reader, &mut io::sink());
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_stream_with_a_broken_trailer_fails_and_its_socket_is_not_reused() {
+    let addr = chunked_stub(vec![
+        (b"", true),
+        (b"no colon here\r\n\r\n", false),
+        (b"\r\n", false),
+    ]);
+    let faulty = Arc::new(FaultyTransport::new(Arc::new(TcpTransport::default())));
+    let transport: Arc<FaultyTransport> = Arc::clone(&faulty);
+    let client = Client::new(addr).with_transport(transport);
+
+    for what in ["a stream cut right after `0\\r\\n`", "a malformed trailer"] {
+        match client.events(1) {
+            Err(ClientError::Io(error)) => {
+                assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{what}: {error}");
+            }
+            other => panic!("{what} must fail the stream, got {other:?}"),
+        }
+    }
+    assert_eq!(client.events(1).expect("a whole stream"), "abc");
+    assert_eq!(
+        (faulty.connections_made(), faulty.requests_made()),
+        (3, 3),
+        "a socket whose stream broke must not go back to the pool"
+    );
 }
 
 #[test]
