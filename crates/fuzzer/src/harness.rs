@@ -178,8 +178,8 @@ impl FuzzHarness {
     /// diff report are all cleared and refilled in place. Under the default
     /// snapshot-reset policy even the per-test architectural state is
     /// recycled: both simulators restore only the state the previous test
-    /// dirtied (see `isa_sim::snapshot`), reusing the prior run's CSR-map
-    /// allocation instead of rebuilding it. Results are identical to
+    /// dirtied (see `isa_sim::snapshot`), restoring the prior run's state in
+    /// place instead of rebuilding it. Results are identical to
     /// [`run_program`](FuzzHarness::run_program).
     pub fn run_program_into<'s>(
         &self,

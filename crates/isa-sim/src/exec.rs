@@ -475,8 +475,8 @@ impl GoldenSim {
 /// point according to `policy`, returning the state the run begins from.
 ///
 /// The snapshot path recycles the previous run's final state out of `trace`
-/// (its CSR map keeps its allocation; [`Snapshot::restore`] rewrites the
-/// contents) and zeroes only the dirty memory pages. The full-reinit path is
+/// ([`Snapshot::restore`] rewrites it in place) and zeroes only the dirty
+/// memory pages. The full-reinit path is
 /// the pre-snapshot code, kept verbatim as the differential oracle. Both hand
 /// `run_loop` identical starting conditions — pinned by the equivalence tests
 /// below and end-to-end by `tests/snapshot_reset_equivalence.rs`.

@@ -52,8 +52,8 @@ impl Page {
 ///
 /// # Dirty-page tracking
 ///
-/// Every byte write funnels through [`write_byte`](Memory::write_byte), which
-/// marks the touched page dirty on first touch. This maintains the invariant
+/// Every write funnels through one page accessor, which marks the touched
+/// page dirty on first touch. This maintains the invariant
 /// **clean ⇒ all-zero**: a page is only ever non-zero if its dirty bit is set
 /// and it sits on the tracker's touched list. The fuzzing hot path exploits
 /// it via [`restore_with_program`](Memory::restore_with_program), which zeroes
@@ -192,44 +192,63 @@ impl Memory {
 
     /// Writes one byte, ignoring permissions.
     ///
-    /// This is the single mutation choke point for page contents: it marks
-    /// the page dirty on first touch, which is what keeps the dirty-restore
-    /// path (`restore_with_program`) equivalent to a full reset.
+    /// Like every write, it goes through `page_mut`, which marks the page
+    /// dirty on first touch; that is what keeps the dirty-restore path
+    /// (`restore_with_program`) equivalent to a full reset.
     pub fn write_byte(&mut self, addr: u64, value: u8) {
         let addr = addr & PHYS_ADDR_MASK;
-        let page_id = addr >> PAGE_BITS;
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
-        let page = self.pages.entry(page_id).or_insert_with(Page::zeroed);
-        if !page.dirty {
-            page.dirty = true;
-            self.dirty.mark(page_id);
-        }
-        page.bytes[offset] = value;
+        self.page_mut(addr >> PAGE_BITS).bytes[offset] = value;
     }
 
     /// Reads `width` bytes little-endian, zero-extended into a `u64`.
+    ///
+    /// An access inside one page costs one page lookup; one that crosses a
+    /// page (or the 2³² wrap) reads byte by byte.
     ///
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
     pub fn read_uint(&self, addr: u64, width: u64) -> u64 {
         assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported access width {width}");
+        let width = width as usize;
+        let masked = addr & PHYS_ADDR_MASK;
+        let offset = (masked & (PAGE_SIZE - 1)) as usize;
+        if offset + width <= PAGE_SIZE as usize {
+            let mut bytes = [0u8; 8];
+            if let Some(page) = self.pages.get(&(masked >> PAGE_BITS)) {
+                bytes[..width].copy_from_slice(&page.bytes[offset..offset + width]);
+            }
+            return u64::from_le_bytes(bytes);
+        }
         let mut value = 0u64;
         for i in 0..width {
-            value |= u64::from(self.read_byte(addr.wrapping_add(i))) << (8 * i);
+            value |= u64::from(self.read_byte(addr.wrapping_add(i as u64))) << (8 * i);
         }
         value
     }
 
     /// Writes the low `width` bytes of `value` little-endian.
     ///
+    /// An access inside one page costs one page lookup; one that crosses a
+    /// page (or the 2³² wrap) writes byte by byte, marking the pages dirty
+    /// in byte order.
+    ///
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
     pub fn write_uint(&mut self, addr: u64, value: u64, width: u64) {
         assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported access width {width}");
+        let width = width as usize;
+        let masked = addr & PHYS_ADDR_MASK;
+        let offset = (masked & (PAGE_SIZE - 1)) as usize;
+        if offset + width <= PAGE_SIZE as usize {
+            let page = self.page_mut(masked >> PAGE_BITS);
+            page.bytes[offset..offset + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            return;
+        }
         for i in 0..width {
-            self.write_byte(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            self.write_byte(addr.wrapping_add(i as u64), (value >> (8 * i)) as u8);
         }
     }
 
@@ -261,10 +280,31 @@ impl Memory {
         Some(self.read_uint(addr, 4) as u32)
     }
 
-    fn write_bytes_raw(&mut self, base: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_byte(base + i as u64, *b);
+    /// Copies `bytes` to `base` one page at a time, marking each page dirty
+    /// on first touch in address order, exactly as byte-wise writes would.
+    fn write_bytes_raw(&mut self, base: u64, mut bytes: &[u8]) {
+        let mut addr = base & PHYS_ADDR_MASK;
+        while !bytes.is_empty() {
+            let offset = (addr & (PAGE_SIZE - 1)) as usize;
+            let len = bytes.len().min(PAGE_SIZE as usize - offset);
+            let (chunk, rest) = bytes.split_at(len);
+            self.page_mut(addr >> PAGE_BITS).bytes[offset..offset + len].copy_from_slice(chunk);
+            bytes = rest;
+            addr = (addr + len as u64) & PHYS_ADDR_MASK;
         }
+    }
+
+    /// Returns page `page_id`, allocating it zeroed if absent.
+    ///
+    /// This is the single mutation choke point for page contents: it marks
+    /// the page dirty on first touch, which maintains clean ⇒ all-zero.
+    fn page_mut(&mut self, page_id: u64) -> &mut Page {
+        let page = self.pages.entry(page_id).or_insert_with(Page::zeroed);
+        if !page.dirty {
+            page.dirty = true;
+            self.dirty.mark(page_id);
+        }
+        page
     }
 }
 
@@ -515,6 +555,95 @@ mod tests {
             reset.reset_with_program(&text, &data);
             prop_assert_eq!(&restored, &reset);
             prop_assert_eq!(&restored, &Memory::with_program(&text, &data));
+        }
+    }
+
+    /// Byte-wise reference implementations of the accessors, built only on
+    /// `read_byte`/`write_byte`: what every access did before the
+    /// page-at-a-time paths.
+    fn reference_read(mem: &Memory, addr: u64, width: u64) -> u64 {
+        (0..width).fold(0, |value, i| value | u64::from(mem.read_byte(addr.wrapping_add(i))) << (8 * i))
+    }
+
+    fn reference_write(mem: &mut Memory, addr: u64, value: u64, width: u64) {
+        for i in 0..width {
+            mem.write_byte(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+        }
+    }
+
+    fn reference_load(mem: &mut Memory, base: u64, bytes: &[u8]) {
+        for (i, b) in bytes.iter().enumerate() {
+            mem.write_byte(base + i as u64, *b);
+        }
+    }
+
+    /// Addresses the accessor property anchors on: page ends in both
+    /// regions and around the 2³² wrap, with and without upper address bits
+    /// (which the physical mask drops).
+    const ANCHORS: [u64; 8] = [
+        TEXT_BASE,
+        TEXT_BASE + PAGE_SIZE,
+        DATA_BASE,
+        DATA_BASE + PAGE_SIZE,
+        DATA_BASE + 5 * PAGE_SIZE,
+        1 << 32,
+        PAGE_SIZE,
+        0xffff_ffff_0000_0000 | (DATA_BASE + 2 * PAGE_SIZE),
+    ];
+
+    proptest! {
+        #[test]
+        fn page_accessors_match_byte_wise_accesses(
+            ops in proptest::collection::vec(((0u8..8, 0usize..4), 0usize..8, -12i64..12, any::<u64>()), 1..32),
+        ) {
+            let mut mem = Memory::new();
+            let mut reference = Memory::new();
+            for ((kind, width_index), anchor, delta, value) in ops {
+                let width = [1u64, 2, 4, 8][width_index];
+                let addr = ANCHORS[anchor].wrapping_add_signed(delta);
+                match kind {
+                    0..=2 => {
+                        mem.write_uint(addr, value, width);
+                        reference_write(&mut reference, addr, value, width);
+                    }
+                    3..=5 => {
+                        prop_assert_eq!(
+                            mem.read_uint(addr, width),
+                            reference_read(&reference, addr, width),
+                            "{}-byte read at {:#x}", width, addr
+                        );
+                    }
+                    _ => {
+                        // Images of up to two pages and a bit, so loads end
+                        // anywhere relative to a page end.
+                        let len = (value % (2 * PAGE_SIZE + 16)) as usize;
+                        let image: Vec<u8> = (0..len).map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                        if kind == 6 {
+                            mem.load_text(&image);
+                            reference.text_len = len as u64;
+                            reference_load(&mut reference, TEXT_BASE, &image);
+                        } else {
+                            mem.load_data(&image);
+                            reference_load(&mut reference, DATA_BASE, &image);
+                        }
+                    }
+                }
+                prop_assert_eq!(mem.dirty_pages(), reference.dirty_pages());
+            }
+            for anchor in ANCHORS {
+                for delta in -12..12 {
+                    let addr = anchor.wrapping_add_signed(delta);
+                    for width in [1u64, 2, 4, 8] {
+                        prop_assert_eq!(
+                            mem.read_uint(addr, width),
+                            reference_read(&reference, addr, width),
+                            "{}-byte read at {:#x}", width, addr
+                        );
+                    }
+                }
+            }
+            prop_assert!(mem == reference, "contents differ");
+            prop_assert!(mem.pages.keys().eq(reference.pages.keys()), "same pages allocated");
         }
     }
 }

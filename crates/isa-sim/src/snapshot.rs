@@ -3,7 +3,7 @@
 //! The campaign loop re-simulates tens of thousands of tiny programs, and the
 //! per-test cost is dominated by state *setup*, not execution: a full
 //! [`Memory::reset_with_program`](crate::Memory::reset_with_program) zeroes
-//! every allocated page and a fresh [`ArchState`] rebuilds its CSR map, even
+//! every allocated page and a fresh [`ArchState`] is built per test, even
 //! though a short program touches a handful of pages and a handful of CSRs.
 //! This module provides the pieces that make per-test setup O(touched state):
 //!
@@ -104,8 +104,8 @@ impl ResetPolicy {
 /// A handle on the architectural state a test starts from.
 ///
 /// Every simulator scratch owns one. Today it is always the reset state, so
-/// restoring from it is equivalent to building `ArchState::new()` — just
-/// without reallocating the CSR map. The handle is deliberately a value the
+/// restoring from it is equivalent to building `ArchState::new()`, in place.
+/// The handle is deliberately a value the
 /// scratch carries (rather than a hard-coded constant) because it is the seam
 /// stateful/test-reuse campaigns resume from: swap in a
 /// [`captured`](Snapshot::capture) mid-campaign state and every test the

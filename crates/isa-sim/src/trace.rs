@@ -123,7 +123,7 @@ impl ExecTrace {
     /// allocation. The final state is deliberately left untouched (stale
     /// from the previous run): every simulator ends its run with
     /// [`finish`](ExecTrace::finish), which overwrites it, and resetting it
-    /// here would rebuild the CSR map per test for nothing.
+    /// here would be work thrown away.
     pub fn clear(&mut self) {
         self.commits.clear();
         self.halt = HaltReason::StepLimit;
@@ -145,9 +145,8 @@ impl ExecTrace {
     /// placeholder behind.
     ///
     /// This is the snapshot-reset recycling step: a simulator takes the
-    /// previous run's state (with its allocated CSR map), restores it to the
-    /// baseline in place, and hands it back via
-    /// [`finish`](ExecTrace::finish) at the end of the run — so the
+    /// previous run's state, restores it to the baseline in place, and hands
+    /// it back via [`finish`](ExecTrace::finish) at the end of the run — so the
     /// placeholder is never observed. Calling
     /// [`final_state`](ExecTrace::final_state) between a take and the next
     /// `finish` would see the hollow state; the simulators never do.

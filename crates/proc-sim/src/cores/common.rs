@@ -74,7 +74,6 @@ impl Backend {
 /// * `fetch_group_sites` — easy superscalar fetch-alignment points (BOOM).
 #[derive(Debug, Clone)]
 pub struct CoreExtras {
-    fpu_ids: Vec<CoverPointId>,
     commit_bucket_ids: Vec<CoverPointId>,
     class_depth_ids: Vec<CoverPointId>,
     fetch_group_ids: Vec<CoverPointId>,
@@ -91,9 +90,11 @@ impl CoreExtras {
         fetch_group_sites: bool,
     ) -> CoreExtras {
         let module = "core_extra";
-        let fpu_ids = (0..fpu_sites)
-            .map(|i| space.register_branch(module, format!("fpu_op_{i}"), true))
-            .collect();
+        // FPU sites only need to exist in the space: they are never covered
+        // (no F/D instructions), so their ids are not kept.
+        for i in 0..fpu_sites {
+            space.register_branch(module, format!("fpu_op_{i}"), true);
+        }
         let commit_bucket_ids = (0..commit_index_buckets)
             .map(|i| space.register_branch(module, format!("committed_{}_instrs", 16 * (i + 1)), true))
             .collect();
@@ -115,7 +116,6 @@ impl CoreExtras {
             Vec::new()
         };
         CoreExtras {
-            fpu_ids,
             commit_bucket_ids,
             class_depth_ids,
             fetch_group_ids,
@@ -124,19 +124,13 @@ impl CoreExtras {
     }
 
     fn on_commit(&self, instr: &Instr, commit_index: usize, pc: u64, map: &mut CoverageMap) {
-        // FPU sites are intentionally never covered (no F/D instructions).
-        let _ = &self.fpu_ids;
         let bucket_index = commit_index / 16;
         if bucket_index >= 1 && bucket_index <= self.commit_bucket_ids.len() {
             map.cover(self.commit_bucket_ids[bucket_index - 1]);
         }
         if self.class_depth_buckets > 0 {
-            let class_index = OpClass::ALL
-                .iter()
-                .position(|c| *c == instr.op.class())
-                .expect("class is in OpClass::ALL");
             let depth = bucket(commit_index, self.class_depth_buckets);
-            map.cover(self.class_depth_ids[class_index * self.class_depth_buckets + depth]);
+            map.cover(self.class_depth_ids[instr.op.class().index() * self.class_depth_buckets + depth]);
         }
         if !self.fetch_group_ids.is_empty() {
             map.cover(self.fetch_group_ids[((pc >> 2) & 0b11) as usize]);
@@ -408,9 +402,9 @@ impl CoreModel {
         }
         out.coverage.reset_for_len(self.space.len());
         out.trace.clear();
-        // Snapshot reset recycles the previous run's final state (keeping its
-        // CSR-map allocation) instead of building a fresh one; `finish`
-        // repopulates the trace's slot at the end of the run.
+        // Snapshot reset restores the previous run's final state in place
+        // instead of building a fresh one; `finish` repopulates the trace's
+        // slot at the end of the run.
         let mut state = match policy {
             ResetPolicy::SnapshotReset => {
                 let mut state = out.trace.take_final_state();

@@ -1,10 +1,5 @@
 //! CSR-file model: per-CSR access coverage and exception-path coverage.
 
-// detlint: allow-file(default-hasher) -- the CSR id maps are built once
-// from fixed registration order and then only probed by address; nothing
-// iterates them, so coverage bytes are hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::CsrAddr;
 
@@ -17,10 +12,12 @@ use riscv::CsrAddr;
 /// * trap-CSR update events (exception taken, trap-vector redirect taken or
 ///   not),
 /// * `mret` executed.
+///
+/// The per-CSR tables are indexed by [`CsrAddr::slot`].
 #[derive(Debug, Clone)]
 pub struct CsrFileModel {
-    read_ids: HashMap<u16, CoverPointId>,
-    write_ids: HashMap<u16, CoverPointId>,
+    read_ids: Vec<CoverPointId>,
+    write_ids: Vec<CoverPointId>,
     unimpl_buckets: Vec<CoverPointId>,
     read_only_write: CoverPointId,
     exception_taken: (CoverPointId, CoverPointId),
@@ -32,12 +29,12 @@ impl CsrFileModel {
     /// Creates a CSR-file model and registers its coverage points.
     pub fn new(space: &mut CoverageSpace) -> CsrFileModel {
         let module = "csrfile";
-        let mut read_ids = HashMap::new();
-        let mut write_ids = HashMap::new();
+        let mut read_ids = Vec::with_capacity(CsrAddr::IMPLEMENTED.len());
+        let mut write_ids = Vec::with_capacity(CsrAddr::IMPLEMENTED.len());
         for csr in CsrAddr::IMPLEMENTED {
             let name = csr.name().expect("implemented CSRs are named");
-            read_ids.insert(csr.value(), space.register_branch(module, format!("read_{name}"), true));
-            write_ids.insert(csr.value(), space.register_branch(module, format!("write_{name}"), true));
+            read_ids.push(space.register_branch(module, format!("read_{name}"), true));
+            write_ids.push(space.register_branch(module, format!("write_{name}"), true));
         }
         let unimpl_buckets = (0..16)
             .map(|i| space.register_branch(module, format!("unimplemented_nibble{i:x}"), true))
@@ -63,18 +60,21 @@ impl CsrFileModel {
     /// Records an access to a CSR address. `writes` indicates whether the
     /// instruction writes the CSR (after the `csrrs/csrrc x0` special cases).
     pub fn on_access(&self, csr: CsrAddr, writes: bool, map: &mut CoverageMap) {
-        if csr.is_implemented() {
-            map.cover(self.read_ids[&csr.value()]);
-            if writes {
-                if csr.is_read_only() {
-                    map.cover(self.read_only_write);
-                } else {
-                    map.cover(self.write_ids[&csr.value()]);
+        match csr.slot() {
+            Some(slot) => {
+                map.cover(self.read_ids[slot]);
+                if writes {
+                    if csr.is_read_only() {
+                        map.cover(self.read_only_write);
+                    } else {
+                        map.cover(self.write_ids[slot]);
+                    }
                 }
             }
-        } else {
-            let bucket = (csr.value() >> 8) as usize & 0xf;
-            map.cover(self.unimpl_buckets[bucket]);
+            None => {
+                let bucket = (csr.value() >> 8) as usize & 0xf;
+                map.cover(self.unimpl_buckets[bucket]);
+            }
         }
     }
 
@@ -126,6 +126,37 @@ mod tests {
         assert!(map.is_covered(space.lookup("csrfile", "write_mscratch", true).unwrap()));
         assert!(map.is_covered(space.lookup("csrfile", "read_mepc", true).unwrap()));
         assert!(!map.is_covered(space.lookup("csrfile", "write_mepc", true).unwrap()));
+    }
+
+    #[test]
+    fn every_address_covers_exactly_its_named_points() {
+        let (space, csrfile) = setup();
+        let id = |site: &str| space.lookup("csrfile", site, true).unwrap_or_else(|| panic!("no point {site}"));
+        let names = |ids: Vec<CoverPointId>| {
+            let mut names: Vec<String> = ids.into_iter().map(|id| space.info(id).unwrap().to_string()).collect();
+            names.sort();
+            names
+        };
+        for addr in 0u16..0x1000 {
+            let csr = CsrAddr::new(addr);
+            for writes in [false, true] {
+                let mut map = CoverageMap::for_space(&space);
+                csrfile.on_access(csr, writes, &mut map);
+                let expected = match csr.name() {
+                    Some(name) if writes && csr.is_read_only() => {
+                        vec![id(&format!("read_{name}")), id("read_only_write_attempt")]
+                    }
+                    Some(name) if writes => vec![id(&format!("read_{name}")), id(&format!("write_{name}"))],
+                    Some(name) => vec![id(&format!("read_{name}"))],
+                    None => vec![id(&format!("unimplemented_nibble{:x}", addr >> 8))],
+                };
+                assert_eq!(
+                    names(map.iter_covered().collect()),
+                    names(expected),
+                    "access to {csr} (writes: {writes})"
+                );
+            }
+        }
     }
 
     #[test]

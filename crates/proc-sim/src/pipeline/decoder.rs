@@ -1,11 +1,5 @@
 //! Decode-stage model with per-opcode and cross-product coverage points.
 
-// detlint: allow-file(default-hasher) -- the op/class maps are built once
-// from fixed registration order and then only probed by key per committed
-// instruction; nothing iterates them, so point ids and coverage bytes are
-// hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Instr, Op, OpClass};
 
@@ -21,17 +15,22 @@ use riscv::{Instr, Op, OpClass};
 /// * compressed-instruction and privilege-violation sites that the modelled
 ///   ISA can never reach — deliberately unreachable points that keep total
 ///   coverage below 100 % like on the real designs.
+///
+/// Every id table is indexed by [`Op::index`] or [`OpClass::index`], so a
+/// decode costs no key lookup.
 #[derive(Debug, Clone)]
 pub struct DecoderModel {
-    op_seen: HashMap<Op, CoverPointId>,
-    op_other: HashMap<Op, CoverPointId>,
-    class_rd_zero: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    class_same_src: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    class_neg_imm: HashMap<OpClass, (CoverPointId, CoverPointId)>,
+    /// Per op: the `op_<mnemonic>` "this op decoded" id and the op's position
+    /// in its class's `class_other` slice.
+    ops: Vec<(CoverPointId, usize)>,
+    /// Per class: the "another op of this class decoded" id of every op in
+    /// the class, in [`Op::ALL`] order.
+    class_other: Vec<Vec<CoverPointId>>,
+    class_rd_zero: Vec<(CoverPointId, CoverPointId)>,
+    class_same_src: Vec<(CoverPointId, CoverPointId)>,
+    class_neg_imm: Vec<(CoverPointId, CoverPointId)>,
     illegal_buckets: Vec<CoverPointId>,
     legal_id: CoverPointId,
-    #[allow(dead_code)]
-    unreachable_ids: Vec<CoverPointId>,
     depth_ids: Vec<CoverPointId>,
     decoded_count: usize,
 }
@@ -45,20 +44,21 @@ impl DecoderModel {
     /// hard full coverage is.
     pub fn new(space: &mut CoverageSpace, depth_sites: usize) -> DecoderModel {
         let module = "decoder";
-        let mut op_seen = HashMap::new();
-        let mut op_other = HashMap::new();
+        let mut ops = Vec::with_capacity(Op::ALL.len());
+        let mut class_other = vec![Vec::new(); OpClass::ALL.len()];
         for op in Op::ALL {
             let (seen, other) = space.register_site(module, format!("op_{}", op.mnemonic()));
-            op_seen.insert(op, seen);
-            op_other.insert(op, other);
+            let others = &mut class_other[op.class().index()];
+            ops.push((seen, others.len()));
+            others.push(other);
         }
-        let mut class_rd_zero = HashMap::new();
-        let mut class_same_src = HashMap::new();
-        let mut class_neg_imm = HashMap::new();
+        let mut class_rd_zero = Vec::with_capacity(OpClass::ALL.len());
+        let mut class_same_src = Vec::with_capacity(OpClass::ALL.len());
+        let mut class_neg_imm = Vec::with_capacity(OpClass::ALL.len());
         for class in OpClass::ALL {
-            class_rd_zero.insert(class, space.register_site(module, format!("{class}_rd_is_x0")));
-            class_same_src.insert(class, space.register_site(module, format!("{class}_rs1_eq_rs2")));
-            class_neg_imm.insert(class, space.register_site(module, format!("{class}_imm_negative")));
+            class_rd_zero.push(space.register_site(module, format!("{class}_rd_is_x0")));
+            class_same_src.push(space.register_site(module, format!("{class}_rs1_eq_rs2")));
+            class_neg_imm.push(space.register_site(module, format!("{class}_imm_negative")));
         }
         let mut illegal_buckets = Vec::new();
         for bucket in 0..8 {
@@ -67,25 +67,23 @@ impl DecoderModel {
         let legal_id = space.register_branch(module, "illegal_any", false);
         // Deliberately unreachable sites (compressed ISA, supervisor/user
         // privilege checks) mirroring logic the real decoders contain but the
-        // fuzzer's bare-metal machine-mode programs cannot reach.
-        let mut unreachable_ids = Vec::new();
+        // fuzzer's bare-metal machine-mode programs cannot reach. They only
+        // need to exist in the space, so their ids are not kept.
         for site in ["rvc_quadrant0", "rvc_quadrant1", "rvc_quadrant2", "smode_csr", "umode_csr", "vector_cfg"] {
-            let (t, _) = space.register_site(module, site);
-            unreachable_ids.push(t);
+            space.register_site(module, site);
         }
         let mut depth_ids = Vec::new();
         for i in 0..depth_sites {
             depth_ids.push(space.register_branch(module, format!("decode_depth_{}", 8 * (i + 1)), true));
         }
         DecoderModel {
-            op_seen,
-            op_other,
+            ops,
+            class_other,
             class_rd_zero,
             class_same_src,
             class_neg_imm,
             illegal_buckets,
             legal_id,
-            unreachable_ids,
             depth_ids,
             decoded_count: 0,
         }
@@ -99,21 +97,21 @@ impl DecoderModel {
     /// Records the decode of a legal instruction.
     pub fn on_decode(&mut self, instr: &Instr, map: &mut CoverageMap) {
         map.cover(self.legal_id);
-        map.cover(self.op_seen[&instr.op]);
+        let (seen, position) = self.ops[instr.op.index()];
+        map.cover(seen);
         // The "other direction" of each op's site is reachable by decoding a
         // different op of the same class, mirroring the else-branches of a
         // per-class decode tree.
-        for op in Op::of_class(instr.op.class()) {
-            if op != instr.op {
-                map.cover(self.op_other[&op]);
-            }
+        let class = instr.op.class().index();
+        let others = &self.class_other[class];
+        for &other in others[..position].iter().chain(&others[position + 1..]) {
+            map.cover(other);
         }
-        let class = instr.op.class();
-        let (zero_t, zero_f) = self.class_rd_zero[&class];
+        let (zero_t, zero_f) = self.class_rd_zero[class];
         map.cover(if instr.rd.is_zero() { zero_t } else { zero_f });
-        let (same_t, same_f) = self.class_same_src[&class];
+        let (same_t, same_f) = self.class_same_src[class];
         map.cover(if instr.rs1 == instr.rs2 { same_t } else { same_f });
-        let (neg_t, neg_f) = self.class_neg_imm[&class];
+        let (neg_t, neg_f) = self.class_neg_imm[class];
         map.cover(if instr.imm < 0 { neg_t } else { neg_f });
 
         self.decoded_count += 1;
@@ -167,6 +165,41 @@ mod tests {
         assert!(map.is_covered(space.lookup("decoder", "arith_rs1_eq_rs2", true).unwrap()));
         assert!(map.is_covered(space.lookup("decoder", "arith_imm_negative", false).unwrap()));
         assert_eq!(decoder.decoded_count(), 1);
+    }
+
+    /// The names of the points a set of covered ids stands for, sorted.
+    fn names(space: &CoverageSpace, ids: impl IntoIterator<Item = CoverPointId>) -> Vec<String> {
+        let mut names: Vec<String> = ids.into_iter().map(|id| space.info(id).unwrap().to_string()).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn every_op_covers_exactly_its_named_points() {
+        let (space, mut decoder) = setup(0);
+        let id = |site: &str, direction: bool| {
+            space.lookup("decoder", site, direction).unwrap_or_else(|| panic!("no point {site}"))
+        };
+        let shapes = [
+            Instr { op: Op::Add, rd: Gpr::Zero, rs1: Gpr::A1, rs2: Gpr::A1, imm: -4 },
+            Instr { op: Op::Add, rd: Gpr::A0, rs1: Gpr::A1, rs2: Gpr::A2, imm: 4 },
+        ];
+        for op in Op::ALL {
+            for shape in shapes {
+                let instr = Instr { op, ..shape }.normalize();
+                let mut map = CoverageMap::for_space(&space);
+                decoder.on_decode(&instr, &mut map);
+                let class = op.class();
+                let mut expected = vec![id("illegal_any", false), id(&format!("op_{}", op.mnemonic()), true)];
+                expected.extend(
+                    Op::of_class(class).filter(|other| *other != op).map(|other| id(&format!("op_{}", other.mnemonic()), false)),
+                );
+                expected.push(id(&format!("{class}_rd_is_x0"), instr.rd.is_zero()));
+                expected.push(id(&format!("{class}_rs1_eq_rs2"), instr.rs1 == instr.rs2));
+                expected.push(id(&format!("{class}_imm_negative"), instr.imm < 0));
+                assert_eq!(names(&space, map.iter_covered()), names(&space, expected), "decoding {instr:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,5 @@
 //! Execute-stage model: ALU, multiplier/divider and branch-unit coverage.
 
-// detlint: allow-file(default-hasher) -- the per-class id maps are built
-// once from fixed registration order and then only probed by key; nothing
-// iterates them, so coverage bytes are hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Instr, Op, OpClass};
 
@@ -17,10 +12,12 @@ use riscv::{Instr, Op, OpClass};
 /// * multiplier operand sign crosses and high-half-non-zero events,
 /// * divider special cases (divide-by-zero, signed overflow, exact division),
 /// * branch-comparator equal/less cross outcomes.
+///
+/// The per-class tables are indexed by [`OpClass::index`].
 #[derive(Debug, Clone)]
 pub struct ExecuteModel {
-    result_zero: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    result_negative: HashMap<OpClass, (CoverPointId, CoverPointId)>,
+    result_zero: Vec<(CoverPointId, CoverPointId)>,
+    result_negative: Vec<(CoverPointId, CoverPointId)>,
     adder_overflow: (CoverPointId, CoverPointId),
     shift_buckets: Vec<CoverPointId>,
     mul_sign_cross: Vec<CoverPointId>,
@@ -36,11 +33,11 @@ impl ExecuteModel {
     /// Creates an execute model and registers its coverage points.
     pub fn new(space: &mut CoverageSpace) -> ExecuteModel {
         let module = "execute";
-        let mut result_zero = HashMap::new();
-        let mut result_negative = HashMap::new();
+        let mut result_zero = Vec::with_capacity(OpClass::ALL.len());
+        let mut result_negative = Vec::with_capacity(OpClass::ALL.len());
         for class in OpClass::ALL {
-            result_zero.insert(class, space.register_site(module, format!("{class}_result_zero")));
-            result_negative.insert(class, space.register_site(module, format!("{class}_result_negative")));
+            result_zero.push(space.register_site(module, format!("{class}_result_zero")));
+            result_negative.push(space.register_site(module, format!("{class}_result_negative")));
         }
         let adder_overflow = space.register_site(module, "adder_overflow");
         let shift_buckets = (0..4)
@@ -84,11 +81,11 @@ impl ExecuteModel {
         result: Option<u64>,
         map: &mut CoverageMap,
     ) {
-        let class = instr.op.class();
         if let Some(value) = result {
-            let (zero_t, zero_f) = self.result_zero[&class];
+            let class = instr.op.class().index();
+            let (zero_t, zero_f) = self.result_zero[class];
             map.cover(if value == 0 { zero_t } else { zero_f });
-            let (neg_t, neg_f) = self.result_negative[&class];
+            let (neg_t, neg_f) = self.result_negative[class];
             map.cover(if (value as i64) < 0 { neg_t } else { neg_f });
         }
 
@@ -175,6 +172,41 @@ mod tests {
         assert!(map.is_covered(space.lookup("execute", "arith_result_zero", true).unwrap()));
         exec.on_execute(&sub, 0, 5, Some((-5i64) as u64), &mut map);
         assert!(map.is_covered(space.lookup("execute", "arith_result_negative", true).unwrap()));
+    }
+
+    #[test]
+    fn every_op_covers_its_class_result_points() {
+        let (space, exec) = setup();
+        let result_sites = |map: &CoverageMap| -> Vec<String> {
+            let mut names: Vec<String> = map
+                .iter_covered()
+                .map(|id| space.info(id).unwrap())
+                .filter(|info| info.site.contains("_result_"))
+                .map(ToString::to_string)
+                .collect();
+            names.sort();
+            names
+        };
+        for op in Op::ALL {
+            let instr = Instr { op, rd: Gpr::A0, rs1: Gpr::A1, rs2: Gpr::A2, imm: 3 }.normalize();
+            let class = op.class();
+            for (result, zero, negative) in [(0u64, true, false), ((-7i64) as u64, false, true), (7, false, false)] {
+                let mut map = CoverageMap::for_space(&space);
+                exec.on_execute(&instr, 5, 9, Some(result), &mut map);
+                let mut expected: Vec<String> = [
+                    space.lookup("execute", &format!("{class}_result_zero"), zero).unwrap(),
+                    space.lookup("execute", &format!("{class}_result_negative"), negative).unwrap(),
+                ]
+                .into_iter()
+                .map(|id| space.info(id).unwrap().to_string())
+                .collect();
+                expected.sort();
+                assert_eq!(result_sites(&map), expected, "{op} with result {result:#x}");
+            }
+            let mut map = CoverageMap::for_space(&space);
+            exec.on_execute(&instr, 5, 9, None, &mut map);
+            assert!(result_sites(&map).is_empty(), "{op} without a result");
+        }
     }
 
     #[test]

@@ -93,9 +93,20 @@ impl CsrAddr {
         self.0
     }
 
+    /// Returns the position of this CSR in [`CsrAddr::IMPLEMENTED`], or
+    /// `None` for an unimplemented address. Dense per-CSR tables index by it.
+    #[inline]
+    pub const fn slot(self) -> Option<usize> {
+        match SLOTS[self.0 as usize] {
+            NO_SLOT => None,
+            slot => Some(slot as usize),
+        }
+    }
+
     /// Returns `true` when the golden reference model implements this CSR.
+    #[inline]
     pub fn is_implemented(self) -> bool {
-        Self::IMPLEMENTED.contains(&self)
+        self.slot().is_some()
     }
 
     /// Returns `true` when the CSR is architecturally read-only.
@@ -162,6 +173,20 @@ impl CsrAddr {
     }
 }
 
+const NO_SLOT: u8 = u8::MAX;
+
+/// [`CsrAddr::slot`] for every 12-bit address, built from
+/// [`CsrAddr::IMPLEMENTED`] so the two cannot drift apart.
+static SLOTS: [u8; 0x1000] = {
+    let mut slots = [NO_SLOT; 0x1000];
+    let mut i = 0;
+    while i < CsrAddr::IMPLEMENTED.len() {
+        slots[CsrAddr::IMPLEMENTED[i].0 as usize] = i as u8;
+        i += 1;
+    }
+    slots
+};
+
 impl fmt::Display for CsrAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.name() {
@@ -207,6 +232,23 @@ mod tests {
             assert!(csr.name().is_some());
         }
         assert!(!CsrAddr::new(0x5c0).is_implemented());
+    }
+
+    #[test]
+    fn slot_is_the_position_in_implemented_for_every_address() {
+        for (i, csr) in CsrAddr::IMPLEMENTED.into_iter().enumerate() {
+            assert_eq!(csr.slot(), Some(i), "{csr}");
+        }
+        let mut unimplemented = 0;
+        for addr in 0u16..0x1000 {
+            let csr = CsrAddr::new(addr);
+            if !CsrAddr::IMPLEMENTED.contains(&csr) {
+                assert_eq!(csr.slot(), None, "{csr}");
+                assert!(!csr.is_implemented(), "{csr}");
+                unimplemented += 1;
+            }
+        }
+        assert_eq!(unimplemented, 0x1000 - CsrAddr::IMPLEMENTED.len());
     }
 
     #[test]

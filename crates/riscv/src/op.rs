@@ -72,6 +72,13 @@ impl OpClass {
         OpClass::System,
         OpClass::Fence,
     ];
+
+    /// Returns the position of this class in [`OpClass::ALL`], for indexing
+    /// dense per-class tables.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl fmt::Display for OpClass {
@@ -110,6 +117,13 @@ macro_rules! ops {
         impl Op {
             /// Every operation, in a stable order.
             pub const ALL: [Op; ops!(@count $($variant)+)] = [ $( Op::$variant, )+ ];
+
+            /// Returns the position of this operation in [`Op::ALL`], for
+            /// indexing dense per-operation tables.
+            #[inline]
+            pub fn index(self) -> usize {
+                self as usize
+            }
 
             /// Returns the assembly mnemonic, e.g. `"addw"` or `"fence.i"`.
             pub fn mnemonic(self) -> &'static str {
@@ -307,6 +321,16 @@ mod tests {
             assert_eq!(Op::parse(op.mnemonic()), Some(op), "{op:?}");
         }
         assert_eq!(Op::parse("frobnicate"), None);
+    }
+
+    #[test]
+    fn indexes_are_positions_in_all() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?}");
+        }
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 
     #[test]
